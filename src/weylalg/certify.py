@@ -21,8 +21,6 @@ each cell as empty or solvable with an independently checked witness.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -473,9 +471,8 @@ def _run_cell(spec):
 def impossibility_sweep(pattern: str, bounds: dict, cap: int = 16) -> SweepReport:
     """Exhaustive exact-linear-algebra sweep over one excluded configuration.
 
-    bounds needs keys p, q, max_coeff_deg.  Cells are independent and run on
-    a small thread pool (capped by WEYL_SWEEP_WORKERS); the report order is
-    the deterministic cell enumeration order regardless of worker count.
+    bounds needs keys p, q, max_coeff_deg.  Cells are independent and run in
+    the deterministic cell enumeration order, which is the report order.
     """
     if pattern not in ("case-ii", "case-iii", "case-v"):
         raise DomainError(f"unknown sweep pattern {pattern!r}")
@@ -494,14 +491,5 @@ def impossibility_sweep(pattern: str, bounds: dict, cap: int = 16) -> SweepRepor
         specs = _case_iii_cells(bounds, pattern)
     else:
         specs = _case_v_cells(bounds, pattern)
-    workers = os.environ.get("WEYL_SWEEP_WORKERS")
-    try:
-        workers = max(1, min(int(workers), 32)) if workers else None
-    except ValueError:
-        workers = None
-    if workers == 1 or not specs:
-        cells = tuple(_run_cell(s) for s in specs)
-    else:
-        with ThreadPoolExecutor(max_workers=workers or min(8, (os.cpu_count() or 1))) as pool:
-            cells = tuple(pool.map(_run_cell, specs))
+    cells = tuple(_run_cell(s) for s in specs)
     return SweepReport(pattern=pattern, bounds=dict(bounds), cells=cells)

@@ -121,7 +121,11 @@ def _cmd_random_auto(args):
 
 def _cmd_apply(args):
     with open(args.word_file, "r", encoding="utf-8") as handle:
-        word = AutoWord.from_json(json.load(handle))
+        try:
+            obj = json.load(handle)
+        except (ValueError, RecursionError) as exc:  # invalid or too deeply nested JSON
+            raise DomainError(f"{args.word_file} is not a JSON word: {exc}") from None
+    word = AutoWord.from_json(obj)
     element = apply_auto(word, normalize_text(args.expr))
     _emit(args, element.to_json(), format_pretty(element))
 

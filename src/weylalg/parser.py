@@ -9,24 +9,29 @@ Grammar (whitespace-insensitive, '*' mandatory between factors):
     rational := int ('/' posint)?
 
 Products are noncommutative and keep their factor order in the tree.
+Parenthesized groups nest at most MAX_NESTING deep and exponents are at most
+MAX_EXPONENT; text beyond either limit raises ParseError.
 
-normalize() rewrites a free expression to graded normal form using only the
-elementary moves: letters commute past H-coefficients through the shift, and
-the adjacent pairs YX, XY collapse to H and H - 1.  It deliberately does not
-use the closed-form structure constants, so it serves as an independent
-oracle for the product in :mod:`weylalg.weyl`.
+normalize() evaluates a tree to graded normal form with WeylElement
+arithmetic: symbols and literals become elements, and Sum, Neg, Product and
+Power map onto +, unary -, * and **.  The printers give the canonical text
+form, which parses back to the same element.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import ParseError
 from .polynomials import Poly
-from .weyl import WeylElement
+from .weyl import H, X, Y, WeylElement
 
 MAX_EXPONENT = 10_000
+# deepest parenthesis nesting accepted; parsing and evaluation recurse on it
+MAX_NESTING = 100
 
 
 # ----------------------------------------------------------------------
@@ -104,6 +109,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -170,8 +176,12 @@ class _Parser:
                 return Lit(Fraction(numerator, denominator))
             return Lit(Fraction(numerator))
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than the limit {MAX_NESTING}", pos)
+            self.depth += 1
             inner = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {value!r}", pos)
 
@@ -185,128 +195,37 @@ def parse(text: str):
 
 
 # ----------------------------------------------------------------------
-# elementary rewriting to normal form
+# evaluation to normal form
 # ----------------------------------------------------------------------
 
-def _times_x(comp):
-    """Right-multiply a normal form by the letter X."""
-    out = {}
-    for k, f in comp.items():
-        if k >= 0:
-            g = f
-        else:
-            # (f Y^m) X = f (H + m - 1) Y^(m-1): collapse one YX to H
-            g = f * Poly.linear(-k - 1)
-        if g:
-            key = k + 1
-            out[key] = out[key] + g if key in out else g
-    return {k: v for k, v in out.items() if v}
+_ATOMS = {"X": X, "Y": Y, "H": H}
 
 
-def _times_y(comp):
-    """Right-multiply a normal form by the letter Y."""
-    out = {}
-    for k, f in comp.items():
-        if k <= 0:
-            g = f
-        else:
-            # (f X^k) Y = f (H - k) X^(k-1): collapse one XY to H - 1
-            g = f * Poly.linear(-k)
-        if g:
-            key = k - 1
-            out[key] = out[key] + g if key in out else g
-    return {k: v for k, v in out.items() if v}
-
-
-def _mul_rewrite(a, b):
-    """Product of two normal-form component maps by elementary moves only."""
-    result = {}
-    for l, g in b.items():
-        partial = {}
-        for k, f in a.items():
-            term = f * g.sigma(k)
-            if term:
-                partial[k] = partial.get(k, Poly.zero()) + term
-        partial = {k: v for k, v in partial.items() if v}
-        step = _times_x if l > 0 else _times_y
-        for _ in range(abs(l)):
-            partial = step(partial)
-        for k, v in partial.items():
-            w = result.get(k, Poly.zero()) + v
-            if w:
-                result[k] = w
-            elif k in result:
-                del result[k]
-    return result
-
-
-def _add_comp(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k, Poly.zero()) + v
-        if w:
-            out[k] = w
-        elif k in out:
-            del out[k]
-    return out
-
-
-_ATOMS = {
-    "X": {1: Poly.one()},
-    "Y": {-1: Poly.one()},
-    "H": {0: Poly.gen()},
-}
-
-
-def _rewrite(expr, strategy):
+def _evaluate(expr) -> WeylElement:
     if isinstance(expr, Sym):
-        return dict(_ATOMS[expr.name])
+        return _ATOMS[expr.name]
     if isinstance(expr, Lit):
-        return {0: Poly.constant(expr.value)} if expr.value else {}
+        return WeylElement({0: expr.value})
     if isinstance(expr, Neg):
-        return {k: -v for k, v in _rewrite(expr.arg, strategy).items()}
+        return -_evaluate(expr.arg)
     if isinstance(expr, Sum):
-        out = {}
-        for term in expr.terms:
-            out = _add_comp(out, _rewrite(term, strategy))
-        return out
-    if isinstance(expr, Power):
-        base = _rewrite(expr.base, strategy)
-        out = {0: Poly.one()}
-        for _ in range(expr.exponent):
-            out = _mul_rewrite(out, base)
-        return out
+        return reduce(operator.add, map(_evaluate, expr.terms))
     if isinstance(expr, Product):
-        parts = [_rewrite(f, strategy) for f in expr.factors]
-        if strategy == "left":
-            out = parts[0]
-            for p in parts[1:]:
-                out = _mul_rewrite(out, p)
-            return out
-        if strategy == "tree":
-            while len(parts) > 1:
-                paired = []
-                for i in range(0, len(parts) - 1, 2):
-                    paired.append(_mul_rewrite(parts[i], parts[i + 1]))
-                if len(parts) % 2:
-                    paired.append(parts[-1])
-                parts = paired
-            return parts[0]
-        raise ValueError(f"unknown strategy {strategy!r}")
+        return reduce(operator.mul, map(_evaluate, expr.factors))
+    if isinstance(expr, Power):
+        return _evaluate(expr.base) ** expr.exponent
     raise TypeError(f"not a free expression node: {type(expr).__name__}")
 
 
-def normalize(expr, strategy: str = "left") -> WeylElement:
-    """Rewrite a free expression to graded normal form.
-
-    The two strategies differ only in the association order of products and
-    must agree; both exist so confluence can be tested.
-    """
-    return WeylElement(_rewrite(expr, strategy))
+def normalize(expr) -> WeylElement:
+    """Evaluate a free expression tree to graded normal form."""
+    # the recursion stays in _evaluate, so a wrapper around normalize
+    # (such as a tracing span) sees one call per tree
+    return _evaluate(expr)
 
 
-def normalize_text(text: str, strategy: str = "left") -> WeylElement:
-    return normalize(parse(text), strategy)
+def normalize_text(text: str) -> WeylElement:
+    return normalize(parse(text))
 
 
 # ----------------------------------------------------------------------

@@ -150,6 +150,11 @@ class Poly:
             return Poly(tuple((e, k * c) for e, k in self._terms))
         if not isinstance(other, Poly):
             return NotImplemented
+        # structure_constant returns the shared _ONE for most degree pairs
+        if other is _ONE:
+            return self
+        if self is _ONE:
+            return other
         acc: dict[int, Fraction] = {}
         for e1, c1 in self._terms:
             for e2, c2 in other._terms:
@@ -163,12 +168,13 @@ class Poly:
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
         result, base = _ONE, self
-        while n:
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __divmod__(self, other: "Poly"):
         if isinstance(other, (int, Fraction)):

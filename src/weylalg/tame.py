@@ -138,7 +138,38 @@ class Xi:
         return {"gen": "Xi"}
 
 
-_GEN_TYPES = {"PhiX": PhiX, "PhiY": PhiY, "Torus": Torus, "Translate": Translate, "Xi": Xi}
+# generator kind -> (class, JSON fields in constructor order)
+_GEN_JSON = {
+    "PhiX": (PhiX, ("n", "lambda")),
+    "PhiY": (PhiY, ("n", "lambda")),
+    "Torus": (Torus, ("mu",)),
+    "Translate": (Translate, ("c", "d")),
+    "Xi": (Xi, ()),
+}
+
+
+def _gen_from_json(item):
+    kind = item.get("gen") if isinstance(item, dict) else None
+    if not isinstance(kind, str) or kind not in _GEN_JSON:
+        raise DomainError(f"word entry {item!r} has no known generator kind")
+    cls, fields = _GEN_JSON[kind]
+    return cls(*(_field_from_json(kind, item, field) for field in fields))
+
+
+def _field_from_json(kind, item, field):
+    if field not in item:
+        raise DomainError(f"{kind} entry has no {field!r} field")
+    value = item[field]
+    if field == "n":
+        if type(value) is not int:
+            raise DomainError(f"{kind} field 'n' must be an integer, got {value!r}")
+        return value
+    if isinstance(value, str):
+        try:
+            return rat_from_str(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise DomainError(f"{kind} field {field!r} must be a rational like \"3/2\", got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -163,20 +194,11 @@ class AutoWord:
 
     @staticmethod
     def from_json(obj) -> "AutoWord":
-        gens = []
-        for item in obj["word"]:
-            kind = item["gen"]
-            if kind == "PhiX" or kind == "PhiY":
-                gens.append(_GEN_TYPES[kind](int(item["n"]), rat_from_str(item["lambda"])))
-            elif kind == "Torus":
-                gens.append(Torus(rat_from_str(item["mu"])))
-            elif kind == "Translate":
-                gens.append(Translate(rat_from_str(item["c"]), rat_from_str(item["d"])))
-            elif kind == "Xi":
-                gens.append(Xi())
-            else:
-                raise ValueError(f"unknown generator kind {kind!r}")
-        return AutoWord(tuple(gens))
+        """Rebuild a word from its JSON form; malformed input raises DomainError."""
+        word = obj.get("word") if isinstance(obj, dict) else None
+        if not isinstance(word, list):
+            raise DomainError('a word must be a JSON object with a "word" list')
+        return AutoWord(tuple(_gen_from_json(item) for item in word))
 
     def __str__(self):
         if not self.gens:

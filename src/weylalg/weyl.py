@@ -189,12 +189,13 @@ class GradedElement:
             raise ValueError("element exponent must be a nonnegative integer")
         result = type(self)({0: 1})
         base = self
-        while n:
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         o = self._promote(other)

@@ -12,9 +12,10 @@ from weylalg import (
     parse,
     print_canonical,
 )
-from weylalg.parser import Lit, Neg, Power, Product, Sum, Sym, format_pretty
+from weylalg.parser import MAX_NESTING, Lit, Neg, Power, Product, Sum, Sym, format_pretty
 from weylalg.weyl import H, ONE, X, Y
 from helpers import random_weyl
+from rewrite_oracle import rewrite_normalize, rewrite_normalize_text
 
 Hp = Poly.gen()
 
@@ -55,6 +56,14 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("X^100000")
 
+    def test_nesting_limit(self):
+        assert parse("(" * MAX_NESTING + "X" + ")" * MAX_NESTING) == Sym("X")
+        with pytest.raises(ParseError) as err:
+            parse("(" * (MAX_NESTING + 1) + "X" + ")" * (MAX_NESTING + 1))
+        assert err.value.position == MAX_NESTING
+        with pytest.raises(ParseError):
+            parse("(" * 5000 + "X" + ")" * 5000)
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("X Y")
@@ -94,7 +103,8 @@ class TestNormalize:
             texts.append(f"({print_canonical(a)})*({print_canonical(b)})")
         for text in texts:
             tree = parse(text)
-            assert normalize(tree, "left") == normalize(tree, "tree")
+            assert rewrite_normalize(tree, "left") == rewrite_normalize(tree, "tree")
+            assert normalize(tree) == rewrite_normalize(tree, "left")
 
     def test_ring_homomorphism(self):
         rng = random.Random(52)
@@ -104,8 +114,8 @@ class TestNormalize:
             ea, eb = print_canonical(a), print_canonical(b)
             if a.is_zero() or b.is_zero():
                 continue
-            product = normalize_text(f"({ea})*({eb})")
-            assert product == normalize_text(ea) * normalize_text(eb)
+            product = rewrite_normalize_text(f"({ea})*({eb})")
+            assert product == rewrite_normalize_text(ea) * rewrite_normalize_text(eb)
 
 
 class TestPrint:

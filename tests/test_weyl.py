@@ -25,12 +25,20 @@ from weylalg import (
 )
 from weylalg.weyl import H, ONE, X, Y, ZERO
 from helpers import random_poly, random_weyl, random_weyl_nonzero
+from rewrite_oracle import rewrite_normalize_text
 
 Hp = Poly.gen()
 
 
 def v(n):
     return WeylElement({n: 1})
+
+
+def _repeated_product(base, n, one):
+    result = one
+    for _ in range(n):
+        result = result * base
+    return result
 
 
 class TestStructureConstant:
@@ -45,12 +53,12 @@ class TestStructureConstant:
         assert structure_constant(2, -1) == Hp - 2
 
     def test_against_letter_rewriting(self):
-        # independent oracle: normalize the free word through the parser
+        # independent oracle: normalize the free word by letter rewriting
         for n in range(-4, 5):
             for m in range(-4, 5):
                 left = "1" if n == 0 else (f"X^{n}" if n > 0 else f"Y^{-n}")
                 right = "1" if m == 0 else (f"X^{m}" if m > 0 else f"Y^{-m}")
-                expected = normalize_text(f"{left}*{right}")
+                expected = rewrite_normalize_text(f"{left}*{right}")
                 assert v(n) * v(m) == expected
                 got = WeylElement({n + m: structure_constant(n, m)})
                 assert got == expected
@@ -253,6 +261,11 @@ class TestElementBasics:
     def test_pow(self):
         assert X**3 == WeylElement({3: 1})
         assert (X + Y) ** 0 == ONE
+        a = X + Y * Hp + 2
+        f = Hp**2 - F(1, 3)
+        for n in (1, 2, 5):
+            assert a**n == _repeated_product(a, n, ONE)
+            assert f**n == _repeated_product(f, n, Poly.one())
 
     def test_scalar_ops(self):
         a = X * F(1, 2) + 3
