@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, TwistedRootInfeasible
-from .factor import FactoredPoly, factor_ratfunc
+from .factor import FactoredPoly, _poly_key, factor_ratfunc
 from .polynomials import NEG_INF, Poly, RatFunc, sigma_pow
 from .weyl import HomogeneousElement
 
@@ -82,7 +82,7 @@ def shift_orbit_partition(factors: FactoredPoly, s: int) -> list[Orbit]:
         rep0 = sigma_pow(rep, low * s)
         shifted = tuple(sorted((j - low, e) for j, e in positions.items()))
         out.append(Orbit(rep0, s, shifted))
-    out.sort(key=lambda o: (o.rep.degree, tuple((e, c.numerator, c.denominator) for e, c in o.rep.terms)))
+    out.sort(key=lambda o: _poly_key(o.rep))
     return out
 
 

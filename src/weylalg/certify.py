@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError, OutOfScopeError
 from .parser import format_pretty
@@ -191,9 +192,7 @@ def _solve_exact(rows, rhs):
     aug = []
     for row, r in zip(rows, rhs):
         entries = [Fraction(v) for v in row] + [Fraction(r)]
-        scale = 1
-        for v in entries:
-            scale = scale * v.denominator // _gcd(scale, v.denominator)
+        scale = lcm(*(v.denominator for v in entries))
         aug.append([int(v * scale) for v in entries])
     pivots = []
     rank = 0
@@ -240,12 +239,6 @@ def _solve_exact(rows, rhs):
         values = {c: Fraction(1 if c == fc else 0) for c in free_cols}
         kernel.append(back_substitute(False, values))
     return particular, kernel
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _functional_vanishes(index, particular, kernel):

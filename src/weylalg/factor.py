@@ -6,8 +6,10 @@ F_p[x], quadratic Hensel lifting up to a Mignotte-style coefficient bound,
 and subset recombination.  Everything is exact integer arithmetic; the
 returned bases are monic irreducible polynomials over Q.
 
-Internally dense integer coefficient lists (ascending exponent) are used;
-only the public surface speaks Poly / RatFunc.
+Integer polynomials are int lists, ascending, as Poly stores them; their
+Z[x] arithmetic comes from polynomials.py, and this module adds F_p[x]
+arithmetic, symmetric reduction mod m and Hensel lifting on top.  Only the
+public surface speaks Poly / RatFunc.
 """
 
 from __future__ import annotations
@@ -15,10 +17,23 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd, isqrt
+from math import isqrt
 
 from .errors import DomainError
-from .polynomials import Poly, RatFunc, clear_denominators, poly_from_int_coeffs, poly_gcd
+from .polynomials import (
+    Poly,
+    RatFunc,
+    _add,
+    _derivative,
+    _mul,
+    _primitive,
+    _pseudo_divmod,
+    _strip,
+    _sub,
+    clear_denominators,
+    poly_from_int_coeffs,
+    poly_gcd,
+)
 
 
 @dataclass(frozen=True)
@@ -65,52 +80,11 @@ def _poly_key(f: Poly):
 
 
 # ----------------------------------------------------------------------
-# dense integer polynomial helpers (ascending coefficient lists)
+# symmetric reduction of integer polynomials
 # ----------------------------------------------------------------------
-
-def _strip(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
 
 def _deg(f):
     return len(f) - 1
-
-
-def _mul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _strip(out)
-
-
-def _add(f, g):
-    out = [0] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] += a
-    for i, b in enumerate(g):
-        out[i] += b
-    return _strip(out)
-
-
-def _sub(f, g):
-    out = [0] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] += a
-    for i, b in enumerate(g):
-        out[i] -= b
-    return _strip(out)
-
-
-def _mul_ground(f, c):
-    if c == 0:
-        return []
-    return [a * c for a in f]
 
 
 def _trunc(f, m):
@@ -123,41 +97,6 @@ def _trunc(f, m):
             a -= m
         out.append(a)
     return _strip(out)
-
-
-def _primitive(f):
-    content = 0
-    for a in f:
-        content = _int_gcd(content, abs(a))
-    if content == 0:
-        return 0, []
-    if f[-1] < 0:
-        content = -content
-    return content, [a // content for a in f]
-
-
-def _exact_div(f, g):
-    """Exact quotient of integer polynomials, or None if g does not divide f."""
-    if not g:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not f:
-        return []
-    if _deg(f) < _deg(g):
-        return None
-    rem = [Fraction(a) for a in f]
-    quo = [Fraction(0)] * (_deg(f) - _deg(g) + 1)
-    glead = Fraction(g[-1])
-    for shift in range(len(quo) - 1, -1, -1):
-        c = rem[shift + _deg(g)] / glead
-        quo[shift] = c
-        if c:
-            for j, b in enumerate(g):
-                rem[shift + j] -= c * b
-    if any(rem):
-        return None
-    if any(c.denominator != 1 for c in quo):
-        return None
-    return _strip([int(c) for c in quo])
 
 
 def _divmod_mod(f, h, m):
@@ -243,7 +182,7 @@ def _gf_gcdex(f, g, p):
     if not r0:
         return s0, t0, r0
     inv = pow(r0[-1], -1, p)
-    scale = lambda u: _gf_normal(_mul_ground(u, inv), p)
+    scale = lambda u: _gf_normal(_mul(u, [inv]), p)
     return scale(s0), scale(t0), scale(r0)
 
 
@@ -363,7 +302,7 @@ def _hensel_lift(p, f, modular, l):
     pl = p**l
     if r == 1:
         inv = pow(lc % pl, -1, pl)
-        return [_trunc(_mul_ground(f, inv), pl)]
+        return [_trunc(_mul(f, [inv]), pl)]
     k = r // 2
     steps = 0
     m = 1
@@ -403,10 +342,6 @@ def _sieve(limit):
 _PRIMES = _sieve(2000)
 
 
-def _derivative_z(f):
-    return _strip([i * a for i, a in enumerate(f)][1:])
-
-
 def _zassenhaus(f):
     """Irreducible factors (primitive, lc > 0) of a primitive squarefree
     integer polynomial with lc > 0 and degree >= 1."""
@@ -423,7 +358,7 @@ def _zassenhaus(f):
         if lead % p == 0:
             continue
         fp = _gf_normal(f, p)
-        if _deg(_gf_gcd(fp, _derivative_z(fp), p)) != 0:
+        if _deg(_gf_gcd(fp, _derivative(fp), p)) != 0:
             continue
         modular = _berlekamp(_gf_monic(fp, p), p)
         if best is None or len(modular) < len(best[1]):
@@ -453,8 +388,9 @@ def _zassenhaus(f):
             for i in subset:
                 cand = _trunc(_mul(cand, lifted[i]), pl)
             cand = _primitive(cand)[1]
-            quotient = _exact_div(current, cand)
-            if quotient is not None:
+            quotient, rem, scale = _pseudo_divmod(current, cand)
+            if not rem and all(c % scale == 0 for c in quotient):
+                quotient = [c // scale for c in quotient]
                 found.append(cand)
                 current = quotient
                 remaining = [i for i in remaining if i not in subset]

@@ -1,20 +1,25 @@
 """Exact arithmetic in Q[H] and Q(H) with the shift automorphism.
 
-Polynomials in the single variable H are stored sparsely as a tuple of
-(exponent, coefficient) pairs in ascending exponent order; coefficients are
-``fractions.Fraction`` values and zero coefficients are never stored.  The
-degree of the zero polynomial is the absorbing sentinel ``NEG_INF``.
+A polynomial in the single variable H is stored as F / d: a tuple F of
+Python ints, ascending by exponent with no trailing zeros, over one positive
+integer denominator d with gcd(content(F), d) = 1 (the form of FLINT's
+fmpq_poly).  The form is canonical, so equality and hashing compare the
+stored fields.  The zero polynomial is ((), 1), and its degree is the
+absorbing sentinel ``NEG_INF``.
+
+All coefficient arithmetic runs on the module-level functions on integer
+lists below, which factor.py shares.  The shift automorphism acts by
+``sigma(f)(H) = f(H - 1)``, so ``sigma_pow(f, i)`` substitutes ``H - i``
+for ``H``; it and ``compose_affine`` are integer Taylor shifts.
 
 Rational functions are kept in a canonical form: numerator and denominator
-coprime, denominator monic.  The shift automorphism acts by
-``sigma(f)(H) = f(H - 1)``, so ``sigma_pow(f, i)`` substitutes ``H - i``
-for ``H``.
+coprime, denominator monic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd, lcm
 
 from .errors import DomainError
 
@@ -40,10 +45,137 @@ def rat_from_str(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _power(base, n: int):
+    """base**n for n >= 1 by square-and-multiply, with no squaring after the last bit."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
+
+
+# ----------------------------------------------------------------------
+# integer polynomials: lists of ints, ascending exponent
+# ----------------------------------------------------------------------
+
+def _strip(f):
+    """Drop trailing zeros in place; return f."""
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _add(f, g):
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, b in enumerate(g):
+        out[i] += b
+    return _strip(out)
+
+
+def _sub(f, g):
+    return _add(f, [-b for b in g])
+
+
+def _mul(f, g):
+    if len(f) > len(g):
+        f, g = g, f
+    if not f:
+        return []
+    if len(f) == 1:
+        a = f[0]
+        return _strip([a * b for b in g])
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g, i):
+                out[j] += a * b
+    return _strip(out)
+
+
+def _pseudo_divmod(f, g):
+    """(q, r, s) with s*f = q*g + r, deg r < deg g and s > 0 a divisor of lc(g)**k.
+
+    Each step scales by only the part of lc(g) the leading coefficient
+    lacks, so a monic g divides with s = 1.
+    """
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    n = len(g) - 1
+    lead = g[-1]
+    r = list(f)
+    q = [0] * max(len(r) - n, 0)
+    s = 1
+    for i in range(len(q) - 1, -1, -1):
+        c = r.pop()  # the coefficient of x^(i + n)
+        if not c:
+            continue
+        d = gcd(c, lead) if lead > 0 else -gcd(c, lead)
+        m, c = lead // d, c // d
+        if m != 1:
+            r = [m * a for a in r]
+            q = [m * a for a in q]
+            s *= m
+        q[i] = c
+        for j in range(n):
+            r[i + j] -= c * g[j]
+    return q, _strip(r), s
+
+
+def _primitive(f):
+    """(content, primitive part); the content takes the sign of the leading coefficient."""
+    content = gcd(*f)
+    if not content:
+        return 0, []
+    if f[-1] < 0:
+        content = -content
+    return content, [a // content for a in f]
+
+
+def _derivative(f):
+    return [i * a for i, a in enumerate(f)][1:]
+
+
+def _taylor_shift(f, t: int):
+    """Replace f(x) by f(x + t) in place; Horner's rule, O(deg^2) integer steps."""
+    if t:
+        n = len(f)
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                f[j] += t * f[j + 1]
+
+
+def _poly(coeffs, den=1) -> "Poly":
+    """The canonical Poly coeffs / den from an integer list (consumed) and den != 0."""
+    _strip(coeffs)
+    if not coeffs:
+        return _ZERO
+    if den != 1:
+        if den < 0:
+            den, coeffs = -den, [-a for a in coeffs]
+        g = gcd(den, *coeffs)
+        if g != 1:
+            den //= g
+            coeffs = [a // g for a in coeffs]
+    return _stored(tuple(coeffs), den)
+
+
+def _stored(coeffs: tuple, den: int) -> "Poly":
+    """A Poly from fields already in canonical form."""
+    p = object.__new__(Poly)
+    p._c = coeffs
+    p._den = den
+    return p
+
+
 class Poly:
     """A univariate polynomial over Q in the variable H."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_c", "_den")
 
     def __init__(self, terms=()):
         acc: dict[int, Fraction] = {}
@@ -52,12 +184,13 @@ class Poly:
                 raise ValueError(f"exponent must be a nonnegative integer, got {exp!r}")
             c = _as_fraction(coeff)
             if c:
-                c = acc.get(exp, Fraction(0)) + c
-                if c:
-                    acc[exp] = c
-                elif exp in acc:
-                    del acc[exp]
-        object.__setattr__(self, "_terms", tuple(sorted(acc.items())))
+                acc[exp] = acc.get(exp, 0) + c
+        den = lcm(*(c.denominator for c in acc.values()))
+        coeffs = [0] * (max(acc) + 1 if acc else 0)
+        for exp, c in acc.items():
+            coeffs[exp] = c.numerator * (den // c.denominator)
+        p = _poly(coeffs, den)
+        self._c, self._den = p._c, p._den
 
     # -- construction -----------------------------------------------------
 
@@ -76,47 +209,50 @@ class Poly:
 
     @staticmethod
     def constant(c) -> "Poly":
-        return Poly(((0, _as_fraction(c)),))
+        c = _as_fraction(c)
+        return _poly([c.numerator], c.denominator)
 
     @staticmethod
     def linear(shift) -> "Poly":
         """H + shift."""
-        return Poly(((1, Fraction(1)), (0, _as_fraction(shift))))
+        shift = _as_fraction(shift)
+        return _stored((shift.numerator, shift.denominator), shift.denominator)
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self):
-        return self._terms
+        """((exponent, Fraction coefficient), ...) ascending, nonzero coefficients only."""
+        den = self._den
+        return tuple((e, Fraction(c, den)) for e, c in enumerate(self._c) if c)
 
     @property
     def degree(self):
-        return self._terms[-1][0] if self._terms else NEG_INF
+        return len(self._c) - 1 if self._c else NEG_INF
 
     @property
     def lc(self) -> Fraction:
         """Leading coefficient; zero for the zero polynomial."""
-        return self._terms[-1][1] if self._terms else Fraction(0)
+        return Fraction(self._c[-1], self._den) if self._c else Fraction(0)
 
     def coeff(self, exp: int) -> Fraction:
-        for e, c in self._terms:
-            if e == exp:
-                return c
+        if 0 <= exp < len(self._c):
+            return Fraction(self._c[exp], self._den)
         return Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._c
 
     def is_constant(self) -> bool:
-        return len(self._terms) == 0 or (len(self._terms) == 1 and self._terms[0][0] == 0)
+        return len(self._c) <= 1
 
     def is_monic(self) -> bool:
-        return bool(self._terms) and self._terms[-1][1] == 1
+        return bool(self._c) and self._c[-1] == self._den
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise DomainError(f"{self} is not a constant")
-        return self._terms[0][1] if self._terms else Fraction(0)
+        return self.coeff(0)
 
     # -- ring operations ---------------------------------------------------
 
@@ -125,12 +261,18 @@ class Poly:
             other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return Poly(self._terms + other._terms)
+        a, b = self._den, other._den
+        if a == b:
+            return _poly(_add(self._c, other._c), a)
+        g = gcd(a, b)
+        f1 = _mul(self._c, [b // g])
+        f2 = _mul(other._c, [a // g])
+        return _poly(_add(f1, f2), a // g * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple((e, -c) for e, c in self._terms))
+        return _stored(tuple(-a for a in self._c), self._den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -145,9 +287,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            if not c:
-                return _ZERO
-            return Poly(tuple((e, k * c) for e, k in self._terms))
+            return _poly(_mul(self._c, [c.numerator]), self._den * c.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
         # structure_constant returns the shared _ONE for most degree pairs
@@ -155,49 +295,22 @@ class Poly:
             return self
         if self is _ONE:
             return other
-        acc: dict[int, Fraction] = {}
-        for e1, c1 in self._terms:
-            for e2, c2 in other._terms:
-                e = e1 + e2
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return Poly(acc.items())
+        return _poly(_mul(self._c, other._c), self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result, base = _ONE, self
-        while True:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return _power(self, n) if n else _ONE
 
     def __divmod__(self, other: "Poly"):
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = dict(self._terms)
-        quo: dict[int, Fraction] = {}
-        dlead, clead = other._terms[-1]
-        while rem:
-            e = max(rem)
-            if e < dlead:
-                break
-            factor = rem[e] / clead
-            quo[e - dlead] = factor
-            for e2, c2 in other._terms:
-                k = e - dlead + e2
-                v = rem.get(k, Fraction(0)) - factor * c2
-                if v:
-                    rem[k] = v
-                elif k in rem:
-                    del rem[k]
-        return Poly(quo.items()), Poly(rem.items())
+        # s F = Q G + R gives F/a = (Q b / (s a)) (G/b) + R / (s a)
+        q, r, s = _pseudo_divmod(self._c, other._c)
+        den = s * self._den
+        return _poly(_mul(q, [other._den]), den), _poly(r, den)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -210,56 +323,59 @@ class Poly:
             other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._c == other._c and self._den == other._den
 
     def __hash__(self):
-        return hash(("Poly", self._terms))
+        return hash((self._c, self._den))
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._c)
 
     # -- substitution ------------------------------------------------------
 
     def compose_affine(self, a, b) -> "Poly":
         """Substitute a*H + b for H."""
-        a = _as_fraction(a)
-        b = _as_fraction(b)
-        arg = Poly(((1, a), (0, b)))
-        result = _ZERO
-        power = _ONE
-        last = 0
-        for e, c in self._terms:
-            for _ in range(e - last):
-                power = power * arg
-            last = e
-            result = result + power * c
-        return result
+        a, b = _as_fraction(a), _as_fraction(b)
+        if not self._c:
+            return self
+        # a = p/q, b = r/s, n = deg f: G(y) = s^n f(y/s) has integer coefficients, and
+        # f(aH + b) = (sq)^-n sum_i d_i (sp)^i q^(n-i) H^i with sum_i d_i y^i = G(y + r)
+        p, q = a.numerator, a.denominator
+        r, s = b.numerator, b.denominator
+        n = len(self._c) - 1
+        c = [x * s ** (n - i) for i, x in enumerate(self._c)]
+        _taylor_shift(c, r)
+        c = [d * (s * p) ** i * q ** (n - i) for i, d in enumerate(c)]
+        return _poly(c, self._den * (s * q) ** n)
 
     def sigma(self, i: int) -> "Poly":
         """Apply the i-th power of the shift: H -> H - i."""
-        if i == 0:
+        if i == 0 or len(self._c) <= 1:
             return self
-        return self.compose_affine(1, -i)
+        c = list(self._c)
+        _taylor_shift(c, -i)
+        # an integer shift keeps the content, so the form stays canonical
+        return _stored(tuple(c), self._den)
 
     def evaluate(self, x) -> Fraction:
         x = _as_fraction(x)
         total = Fraction(0)
-        for e, c in self._terms:
-            total += c * x**e
-        return total
+        for c in reversed(self._c):
+            total = total * x + c
+        return total / self._den
 
     def derivative(self) -> "Poly":
-        return Poly(tuple((e - 1, c * e) for e, c in self._terms if e))
+        return _poly(_derivative(self._c), self._den)
 
     def monic(self) -> "Poly":
         if self.is_zero():
             raise DomainError("the zero polynomial has no monic associate")
-        return self * (1 / self.lc)
+        return _poly(list(self._c), self._c[-1])
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
-        return {"poly": [[e, rat_to_str(c)] for e, c in self._terms]}
+        return {"poly": [[e, rat_to_str(c)] for e, c in self.terms]}
 
     @staticmethod
     def from_json(obj) -> "Poly":
@@ -267,10 +383,10 @@ class Poly:
 
     def format(self) -> str:
         """Human text form, descending exponents, e.g. ``H^2 - 3/2*H + 1``."""
-        if not self._terms:
+        if not self._c:
             return "0"
         parts = []
-        for e, c in reversed(self._terms):
+        for e, c in reversed(self.terms):
             mag = abs(c)
             if e == 0:
                 body = str(mag)
@@ -290,12 +406,9 @@ class Poly:
         return f"Poly({self.format()!r})"
 
 
-_ZERO = Poly.__new__(Poly)
-object.__setattr__(_ZERO, "_terms", ())
-_ONE = Poly.__new__(Poly)
-object.__setattr__(_ONE, "_terms", ((0, Fraction(1)),))
-_GEN = Poly.__new__(Poly)
-object.__setattr__(_GEN, "_terms", ((1, Fraction(1)),))
+_ZERO = _stored((), 1)
+_ONE = _stored((1,), 1)
+_GEN = _stored((0, 1), 1)
 
 H = _GEN
 
@@ -421,15 +534,9 @@ class RatFunc:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise ValueError("rational-function exponent must be an integer")
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        result = RatFunc(_ONE)
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n < 0:
+            return _power(self.inverse(), -n)
+        return _power(self, n) if n else RatFunc(_ONE)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -518,22 +625,15 @@ def monic_split(h):
 
 def rising_product(m: int) -> Poly:
     """H (H+1) ... (H+m-1); the unit relating Y^m to X^(-m) in the localization."""
-    result = _ONE
-    for j in range(m):
-        result = result * Poly.linear(j)
-    return result
+    return falling_window(0, m)
 
 
 def falling_window(start: int, count: int) -> Poly:
     """(H - start)(H - start + 1) ... (H - start + count - 1)."""
-    result = _ONE
+    result = [1]
     for j in range(count):
-        result = result * Poly.linear(-(start - j))
-    return result
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // _int_gcd(a, b) * b
+        result = _mul(result, [j - start, 1])
+    return _poly(result)
 
 
 def clear_denominators(f: Poly) -> tuple[Fraction, list[int]]:
@@ -542,21 +642,9 @@ def clear_denominators(f: Poly) -> tuple[Fraction, list[int]]:
     Returns (scale, dense ascending integer coefficient list of F).
     F is empty for f = 0.
     """
-    if f.is_zero():
-        return Fraction(0), []
-    den = 1
-    for _, c in f.terms:
-        den = _lcm(den, c.denominator)
-    ints = {e: int(c * den) for e, c in f.terms}
-    content = 0
-    for v in ints.values():
-        content = _int_gcd(content, abs(v))
-    sign = 1 if ints[max(ints)] > 0 else -1
-    content *= sign
-    deg = max(ints)
-    dense = [ints.get(e, 0) // content for e in range(deg + 1)]
-    return Fraction(content, den), dense
+    content, dense = _primitive(f._c)
+    return Fraction(content, f._den), dense
 
 
 def poly_from_int_coeffs(coeffs) -> Poly:
-    return Poly((e, Fraction(c)) for e, c in enumerate(coeffs))
+    return _poly(list(coeffs))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .polynomials import Poly, rat_from_str, rat_to_str
+from .polynomials import Poly, _as_fraction, rat_from_str, rat_to_str
 from .weyl import WeylElement, X, Y, commutator, xi_apply
 
 __all__ = [
@@ -38,14 +38,6 @@ __all__ = [
 ]
 
 
-def _as_rat(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected a rational scalar, got {type(value).__name__}")
-
-
 @dataclass(frozen=True)
 class PhiX:
     n: int
@@ -54,7 +46,7 @@ class PhiX:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("PhiX requires n >= 1")
-        object.__setattr__(self, "lam", _as_rat(self.lam))
+        object.__setattr__(self, "lam", _as_fraction(self.lam))
 
     def images(self):
         return X, Y + WeylElement({self.n: self.lam})
@@ -74,7 +66,7 @@ class PhiY:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("PhiY requires n >= 1")
-        object.__setattr__(self, "lam", _as_rat(self.lam))
+        object.__setattr__(self, "lam", _as_fraction(self.lam))
 
     def images(self):
         return X + WeylElement({-self.n: self.lam}), Y
@@ -91,7 +83,7 @@ class Torus:
     mu: Fraction
 
     def __post_init__(self):
-        mu = _as_rat(self.mu)
+        mu = _as_fraction(self.mu)
         if not mu:
             raise DomainError("Torus requires a nonzero scalar")
         object.__setattr__(self, "mu", mu)
@@ -112,8 +104,8 @@ class Translate:
     d: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _as_rat(self.c))
-        object.__setattr__(self, "d", _as_rat(self.d))
+        object.__setattr__(self, "c", _as_fraction(self.c))
+        object.__setattr__(self, "d", _as_fraction(self.d))
 
     def images(self):
         return X + self.c, Y + self.d
@@ -334,8 +326,8 @@ def _linear_word(a, b, c, d) -> list:
 
 def affine_decompose(a, b, c, d, lam, mu) -> AutoWord:
     """A word tau with tau(Y) = a Y + b X + lam and tau(X) = c Y + d X + mu."""
-    a, b, c, d = _as_rat(a), _as_rat(b), _as_rat(c), _as_rat(d)
-    lam, mu = _as_rat(lam), _as_rat(mu)
+    a, b, c, d = _as_fraction(a), _as_fraction(b), _as_fraction(c), _as_fraction(d)
+    lam, mu = _as_fraction(lam), _as_fraction(mu)
     gens = []
     if lam or mu:
         gens.append(Translate(mu, lam))

@@ -26,6 +26,7 @@ from .polynomials import (
     NEG_INF,
     Poly,
     RatFunc,
+    _power,
     falling_window,
     monic_split,
     rising_product,
@@ -42,11 +43,8 @@ def structure_constant(n: int, m: int) -> Poly:
         return falling_window(n, count)
     if n < 0 and m > 0:
         count = min(-n, m)
-        # (H + |n| - 1)(H + |n| - 2) ... : count descending factors
-        result = Poly.one()
-        for j in range(count):
-            result = result * Poly.linear(-n - 1 - j)
-        return result
+        # (H + |n| - 1)(H + |n| - 2) ... : count descending factors ending at H - n - count
+        return falling_window(n + count, count)
     return Poly.one()
 
 
@@ -187,15 +185,7 @@ class GradedElement:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("element exponent must be a nonnegative integer")
-        result = type(self)({0: 1})
-        base = self
-        while True:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return _power(self, n) if n else type(self)({0: 1})
 
     def __eq__(self, other):
         o = self._promote(other)
@@ -361,10 +351,7 @@ class HomogeneousElement:
     def __pow__(self, n: int) -> "HomogeneousElement":
         if not isinstance(n, int) or n < 1:
             raise ValueError("homogeneous power must be a positive integer")
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
+        return _power(self, n)
 
     def to_graded(self) -> BElement:
         """Convert to the v-basis: X^(-m) = (H (H+1) ... (H+m-1))^(-1) v_(-m)."""

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylalg import NEG_INF, DomainError, Poly, RatFunc, delta_op, monic_split, rat_deg, sigma_pow
+from weylalg.polynomials import clear_denominators
 from helpers import random_poly, random_ratfunc
 
 H = Poly.gen()
@@ -40,6 +42,85 @@ class TestPoly:
         assert (H**2 - F(3, 2) * H + 1).format() == "H^2 - 3/2*H + 1"
         assert (-H + 1).format() == "-H + 1"
         assert Poly.zero().format() == "0"
+
+
+def value_at(coeffs, x):
+    """A polynomial's value from ascending coefficients, with no Poly arithmetic."""
+    return sum((c * x**e for e, c in coeffs), F(0))
+
+
+def eval_terms(f: Poly, x):
+    return value_at(f.terms, x)
+
+
+# rational coefficients over mixed denominators, degrees up to 40
+rationals = st.fractions(min_value=-60, max_value=60, max_denominator=30)
+coeff_lists = st.lists(rationals, max_size=41)
+points = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=2, max_size=2)
+KERNEL = settings(max_examples=120, deadline=None)
+
+
+class TestKernelProperties:
+    """Each Poly result is checked at rational points against its inputs' coefficients."""
+
+    @given(coeff_lists, coeff_lists, points)
+    @KERNEL
+    def test_ring_operations(self, cf, cg, xs):
+        f, g = Poly(enumerate(cf)), Poly(enumerate(cg))
+        for x in xs:
+            fx, gx = value_at(enumerate(cf), x), value_at(enumerate(cg), x)
+            assert eval_terms(f * g, x) == fx * gx
+            assert eval_terms(f + g, x) == fx + gx
+            assert eval_terms(f - g, x) == fx - gx
+
+    @given(coeff_lists, st.integers(-25, 25), points)
+    @KERNEL
+    def test_sigma(self, cf, i, xs):
+        f = Poly(enumerate(cf))
+        for x in xs:
+            assert eval_terms(f.sigma(i), x) == value_at(enumerate(cf), x - i)
+
+    @given(coeff_lists, rationals, rationals, points)
+    @KERNEL
+    def test_compose_affine(self, cf, a, b, xs):
+        f = Poly(enumerate(cf))
+        g = f.compose_affine(a, b)
+        for x in xs:
+            assert eval_terms(g, x) == value_at(enumerate(cf), a * x + b)
+        if a:
+            assert g.degree == f.degree
+
+    @given(coeff_lists, coeff_lists.filter(any), points)
+    @KERNEL
+    def test_divmod(self, cf, cg, xs):
+        f, g = Poly(enumerate(cf)), Poly(enumerate(cg))
+        q, r = divmod(f, g)
+        assert f == q * g + r
+        assert r.degree < g.degree
+        for x in xs:
+            assert value_at(enumerate(cf), x) == eval_terms(q, x) * value_at(enumerate(cg), x) + eval_terms(r, x)
+
+    @given(coeff_lists)
+    @KERNEL
+    def test_clear_denominators(self, cf):
+        f = Poly(enumerate(cf))
+        scale, dense = clear_denominators(f)
+        assert Poly(enumerate(dense)) * scale == f
+        if f:
+            assert all(isinstance(c, int) for c in dense)
+            assert gcd(*dense) == 1 and dense[-1] > 0
+        else:
+            assert (scale, dense) == (0, [])
+
+    @given(coeff_lists)
+    @KERNEL
+    def test_terms_round_trip(self, cf):
+        f = Poly(enumerate(cf))
+        assert all(c for _, c in f.terms)
+        assert [e for e, _ in f.terms] == sorted({e for e, _ in f.terms})
+        g = Poly(f.terms)
+        assert g == f and hash(g) == hash(f)
+        assert Poly(reversed(f.terms + f.terms)) == 2 * f
 
 
 class TestSigma:

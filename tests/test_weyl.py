@@ -263,9 +263,16 @@ class TestElementBasics:
         assert (X + Y) ** 0 == ONE
         a = X + Y * Hp + 2
         f = Hp**2 - F(1, 3)
+        r = RatFunc(2 * Hp - 1, Hp**2 + F(1, 2))
+        u = HomogeneousElement(-3, RatFunc(Hp + F(2, 3), Hp - 5))
+        r_one = RatFunc(Poly.one())
         for n in (1, 2, 5):
             assert a**n == _repeated_product(a, n, ONE)
             assert f**n == _repeated_product(f, n, Poly.one())
+            assert r**n == _repeated_product(r, n, r_one)
+            assert r**-n == _repeated_product(r.inverse(), n, r_one)
+            assert u**n == _repeated_product(u, n, HomogeneousElement(0, r_one))
+        assert r**0 == r_one
 
     def test_scalar_ops(self):
         a = X * F(1, 2) + 3
