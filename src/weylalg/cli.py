@@ -1,7 +1,9 @@
 """Command-line front-end.
 
-Exit codes: 0 success, 2 parse error, 3 domain error (e.g. a certify pair
-whose commutator is not 1), 4 out-of-scope input (mass hypotheses violated).
+Exit codes: 0 success, 2 parse or usage error, 3 domain error (e.g. a
+certify pair whose commutator is not 1, or a result too large to print), 4
+out-of-scope input (mass hypotheses violated).  An expression that starts
+with '-' and has no space goes after '--': weyl normalize -- -H.
 All output is deterministic given the arguments and --seed; --json switches
 to the canonical single-line JSON forms.
 """
@@ -26,37 +28,35 @@ def dumps_canonical(obj) -> str:
 
 
 def _emit(args, json_obj, text):
-    print(dumps_canonical(json_obj) if args.json else text)
+    return [dumps_canonical(json_obj) if args.json else text]
 
 
 def _cmd_normalize(args):
     element = normalize_text(args.expr)
-    _emit(args, element.to_json(), format_pretty(element))
+    return _emit(args, element.to_json(), format_pretty(element))
 
 
 def _cmd_commute(args):
     result = commutator(normalize_text(args.left), normalize_text(args.right))
-    _emit(args, result.to_json(), format_pretty(result))
+    return _emit(args, result.to_json(), format_pretty(result))
 
 
 def _cmd_mass(args):
     value = mass(normalize_text(args.expr))
-    _emit(args, {"mass": value}, str(value))
+    return _emit(args, {"mass": value}, str(value))
 
 
 def _cmd_components(args):
     element = normalize_text(args.expr)
     if args.json:
-        print(dumps_canonical(element.to_json()))
-        return
-    for i, f in element.components():
-        print(f"{i}: {f.format()}")
+        return [dumps_canonical(element.to_json())]
+    return [f"{i}: {f.format()}" for i, f in element.components()]
 
 
 def _cmd_degree(args):
     degree = total_degree(normalize_text(args.expr))
     text = "-inf" if degree == NEG_INF else str(degree)
-    _emit(args, {"total_degree": None if degree == NEG_INF else degree}, text)
+    return _emit(args, {"total_degree": None if degree == NEG_INF else degree}, text)
 
 
 def _cmd_centralizer(args):
@@ -71,8 +71,7 @@ def _cmd_centralizer(args):
         if u.coeff.is_constant():
             raise DomainError("constants are central")
         marker = centralizer_rational(u.coeff)
-        _emit(args, {"centralizer": marker}, marker)
-        return
+        return _emit(args, {"centralizer": marker}, marker)
     lead, monic = u.monic_split()
     result = centralizer_generator(monic)
     v_graded = result.v.to_graded()
@@ -84,39 +83,36 @@ def _cmd_centralizer(args):
     payload["input_lead"] = rat_to_str(lead)
     payload["v_text"] = v_text
     if args.json:
-        print(dumps_canonical(payload))
-    else:
-        print(f"s = {result.s}")
-        print(f"beta = {result.beta.format()}")
-        print(f"v = {v_text}")
-        for cert in result.infeasible_divisors:
-            print(f"infeasible: {cert}")
+        return [dumps_canonical(payload)]
+    lines = [f"s = {result.s}", f"beta = {result.beta.format()}", f"v = {v_text}"]
+    return lines + [f"infeasible: {cert}" for cert in result.infeasible_divisors]
 
 
 def _cmd_certify(args):
     P = normalize_text(args.left)
     Q = normalize_text(args.right)
     word = certify_pair(P, Q)
-    _emit(args, word.to_json(), str(word))
+    return _emit(args, word.to_json(), str(word))
 
 
 def _cmd_sweep(args):
     bounds = {"p": args.p, "q": args.q, "max_coeff_deg": args.max_coeff_deg}
     report = impossibility_sweep(args.pattern, bounds)
     if args.json:
-        print(dumps_canonical(report.to_json()))
-        return
+        return [dumps_canonical(report.to_json())]
+    lines = []
     for cell in report.cells:
         degs = "" if cell.deg_a is None else f" deg_a={cell.deg_a} deg_b={cell.deg_b}"
-        print(f"{cell.pattern} p={cell.p} q={cell.q}{degs}: {cell.status}")
-    print(f"{len(report.empty_cells())} empty, {len(report.solution_cells())} with solutions")
+        lines.append(f"{cell.pattern} p={cell.p} q={cell.q}{degs}: {cell.status}")
+    lines.append(f"{len(report.empty_cells())} empty, {len(report.solution_cells())} with solutions")
+    return lines
 
 
 def _cmd_random_auto(args):
     word = random_tame(
         args.seed, word_len=args.word_len, max_n=args.max_n, coeff_height=args.coeff_height
     )
-    _emit(args, word.to_json(), str(word))
+    return _emit(args, word.to_json(), str(word))
 
 
 def _cmd_apply(args):
@@ -127,11 +123,17 @@ def _cmd_apply(args):
             raise DomainError(f"{args.word_file} is not a JSON word: {exc}") from None
     word = AutoWord.from_json(obj)
     element = apply_auto(word, normalize_text(args.expr))
-    _emit(args, element.to_json(), format_pretty(element))
+    return _emit(args, element.to_json(), format_pretty(element))
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is one line on stderr and exit 2, like a parse error."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="weyl", description=__doc__)
+    top = _ArgumentParser(prog="weyl", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, func, **arguments):
@@ -179,7 +181,8 @@ def main(argv=None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        # a command returns all its output lines, so a failure prints none
+        lines = args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -192,6 +195,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    for line in lines:
+        print(line)
     return 0
 
 

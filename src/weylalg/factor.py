@@ -1,9 +1,11 @@
 """Complete factorization over Q for Poly and RatFunc values.
 
 The pipeline is the classical one for Z[x]: Yun squarefree decomposition
-over Q, reduction modulo a good small prime, Berlekamp factorization in
-F_p[x], quadratic Hensel lifting up to a Mignotte-style coefficient bound,
-and subset recombination.  Everything is exact integer arithmetic; the
+over Q, reduction modulo a good small prime, quadratic Hensel lifting up to
+a Mignotte-style coefficient bound, and subset recombination.  Distinct-degree
+factorization in F_p[x] counts the modular factors for up to three primes;
+the prime with the fewest is split by equal-degree factorization
+(Cantor-Zassenhaus) and lifted.  Everything is exact integer arithmetic; the
 returned bases are monic irreducible polynomials over Q.
 
 Integer polynomials are int lists, ascending, as Poly stores them; their
@@ -15,6 +17,7 @@ public surface speaks Poly / RatFunc.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -197,81 +200,42 @@ def _gf_pow_mod(base, n, f, p):
     return result
 
 
-def _gf_nullspace(matrix, n, p):
-    """Basis of the right nullspace of an n x n matrix over F_p."""
-    m = [row[:] for row in matrix]
-    pivots = {}
-    row = 0
-    for col in range(n):
-        sel = None
-        for r in range(row, n):
-            if m[r][col] % p:
-                sel = r
-                break
-        if sel is None:
-            continue
-        m[row], m[sel] = m[sel], m[row]
-        inv = pow(m[row][col], -1, p)
-        m[row] = [a * inv % p for a in m[row]]
-        for r in range(n):
-            if r != row and m[r][col] % p:
-                factor = m[r][col]
-                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[row])]
-        pivots[col] = row
-        row += 1
-    basis = []
-    for col in range(n):
-        if col in pivots:
-            continue
-        vec = [0] * n
-        vec[col] = 1
-        for pcol, prow in pivots.items():
-            vec[pcol] = (-m[prow][col]) % p
-        basis.append(vec)
-    return basis
+def _gf_ddf(f, p):
+    """Distinct-degree factorization of a monic squarefree f in F_p[x].
+
+    Returns [(g, d)] with g the monic product of the degree-d irreducible
+    factors of f; g has deg g // d of them.
+    """
+    factors = []
+    h = [0, 1]  # x^(p^d) mod f
+    d = 1
+    while _deg(f) >= 2 * d:
+        h = _gf_pow_mod(h, p, f, p)
+        g = _gf_gcd(_gf_sub(h, [0, 1], p), f, p)
+        if _deg(g) > 0:
+            factors.append((g, d))
+            f = _gf_quo(f, g, p)
+            h = _gf_rem(h, f, p)
+        d += 1
+    if _deg(f) > 0:
+        factors.append((f, _deg(f)))
+    return factors
 
 
-def _berlekamp(f, p):
-    """Factor a monic squarefree polynomial in F_p[x] into monic irreducibles."""
-    n = _deg(f)
-    if n <= 1:
-        return [f]
-    xp = _gf_pow_mod([0, 1], p, f, p)
-    rows = []
-    cur = [1]
-    for _ in range(n):
-        rows.append(cur + [0] * (n - len(cur)))
-        cur = _gf_rem(_gf_mul(cur, xp, p), f, p)
-    # v satisfies v^p = v mod f  <=>  (Q^T - I) v = 0 with Q rows = x^{ip} mod f
-    matrix = [[(rows[j][i] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
-    basis = _gf_nullspace(matrix, n, p)
-    r = len(basis)
-    if r == 1:
-        return [f]
-    factors = [f]
-    for vec in basis:
-        v = _strip(list(vec))
-        if _deg(v) < 1:
-            continue
-        refined = []
-        for u in factors:
-            if _deg(u) <= 1:
-                refined.append(u)
-                continue
-            rest = u
-            for c in range(p):
-                if _deg(rest) <= 0:
-                    break
-                g = _gf_gcd(_gf_sub(v, [c], p), rest, p)
-                if _deg(g) > 0:
-                    refined.append(g)
-                    rest = _gf_quo(rest, g, p)
-            if _deg(rest) > 0:
-                refined.append(rest)
-        factors = refined
-        if len(factors) == r:
-            break
-    return sorted(factors, key=lambda u: (len(u), u))
+def _gf_edf(g, d, p, rng):
+    """Equal-degree split of a monic product g of distinct degree-d
+    irreducibles in F_p[x] into those irreducibles (Cantor-Zassenhaus).
+
+    p must be odd: a random a splits g by gcd(a^((p^d-1)/2) - 1, g).
+    """
+    n = _deg(g)
+    if n == d:
+        return [g]
+    while True:
+        a = _strip([rng.randrange(p) for _ in range(n)])
+        b = _gf_gcd(_gf_sub(_gf_pow_mod(a, (p**d - 1) // 2, g, p), [1], p), g, p)
+        if 0 < _deg(b) < n:
+            return _gf_edf(b, d, p, rng) + _gf_edf(_gf_quo(g, b, p), d, p, rng)
 
 
 # ----------------------------------------------------------------------
@@ -352,6 +316,7 @@ def _zassenhaus(f):
     height = max(abs(a) for a in f)
     bound = (isqrt(n + 1) + 1) * 2**n * height * lead
 
+    # the prime with the fewest modular factors, counted by distinct degree
     best = None
     admissible = 0
     for p in _PRIMES[1:]:
@@ -360,15 +325,21 @@ def _zassenhaus(f):
         fp = _gf_normal(f, p)
         if _deg(_gf_gcd(fp, _derivative(fp), p)) != 0:
             continue
-        modular = _berlekamp(_gf_monic(fp, p), p)
-        if best is None or len(modular) < len(best[1]):
-            best = (p, modular)
+        ddf = _gf_ddf(_gf_monic(fp, p), p)
+        count = sum(_deg(g) // d for g, d in ddf)
+        if best is None or count < best[1]:
+            best = (p, count, ddf)
         admissible += 1
-        if admissible >= 3 or len(modular) == 1:
+        if admissible >= 3 or count == 1:
             break
-    p, modular = best
-    if len(modular) == 1:
+    p, count, ddf = best
+    if count == 1:
         return [list(f)]
+    # the split is random, the set of factors it finds is not
+    rng = random.Random(0)
+    modular = sorted(
+        (u for g, d in ddf for u in _gf_edf(g, d, p, rng)), key=lambda u: (len(u), u)
+    )
 
     l = 1
     pl = p

@@ -9,8 +9,10 @@ Grammar (whitespace-insensitive, '*' mandatory between factors):
     rational := int ('/' posint)?
 
 Products are noncommutative and keep their factor order in the tree.
-Parenthesized groups nest at most MAX_NESTING deep and exponents are at most
-MAX_EXPONENT; text beyond either limit raises ParseError.
+Parenthesized groups nest at most MAX_NESTING deep, exponents are at most
+MAX_EXPONENT, and integer literals have at most sys.get_int_max_str_digits()
+digits (Python's int-to-str limit, 4300 by default); text beyond any of
+these limits raises ParseError.
 
 normalize() evaluates a tree to graded normal form with WeylElement
 arithmetic: symbols and literals become elements, and Sum, Neg, Product and
@@ -21,6 +23,7 @@ form, which parses back to the same element.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -105,6 +108,15 @@ def _tokenize(text):
     return tokens
 
 
+def _int(tok):
+    try:
+        return int(tok[1])
+    except ValueError:  # the only ValueError int() raises on a digit string
+        raise ParseError(
+            f"integer literal has more than {sys.get_int_max_str_digits()} digits", tok[2]
+        ) from None
+
+
 class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
@@ -154,7 +166,7 @@ class _Parser:
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("int")
-            exponent = int(tok[1])
+            exponent = _int(tok)
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent {exponent} exceeds the limit {MAX_EXPONENT}", tok[2])
             return Power(base, exponent)
@@ -166,11 +178,11 @@ class _Parser:
         if kind == "sym":
             return Sym(value)
         if kind == "int":
-            numerator = int(value)
+            numerator = _int(tok)
             if self.peek()[0] == "/":
                 self.advance()
                 dtok = self.expect("int")
-                denominator = int(dtok[1])
+                denominator = _int(dtok)
                 if denominator == 0:
                     raise ParseError("zero denominator", dtok[2])
                 return Lit(Fraction(numerator, denominator))

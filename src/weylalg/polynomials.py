@@ -18,6 +18,7 @@ coprime, denominator monic.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -36,9 +37,24 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
 
 
+def _digits(n: int) -> str:
+    """str(n), with a DomainError past Python's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:  # the only ValueError str(int) raises
+        raise DomainError(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} digits to print"
+        ) from None
+
+
 def rat_to_str(c: Fraction) -> str:
     """Canonical serialization of a rational: always ``num/den``."""
-    return f"{c.numerator}/{c.denominator}"
+    return f"{_digits(c.numerator)}/{_digits(c.denominator)}"
+
+
+def rat_format(c: Fraction) -> str:
+    """Human text of a rational, as str() gives it: ``3/2`` or ``3``."""
+    return _digits(c.numerator) if c.denominator == 1 else rat_to_str(c)
 
 
 def rat_from_str(text: str) -> Fraction:
@@ -389,10 +405,10 @@ class Poly:
         for e, c in reversed(self.terms):
             mag = abs(c)
             if e == 0:
-                body = str(mag)
+                body = rat_format(mag)
             else:
                 var = "H" if e == 1 else f"H^{e}"
-                body = var if mag == 1 else f"{mag}*{var}"
+                body = var if mag == 1 else f"{rat_format(mag)}*{var}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:

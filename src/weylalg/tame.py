@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .polynomials import Poly, _as_fraction, rat_from_str, rat_to_str
+from .polynomials import Poly, _as_fraction, rat_format, rat_from_str, rat_to_str
 from .weyl import WeylElement, X, Y, commutator, xi_apply
 
 __all__ = [
@@ -198,13 +198,13 @@ class AutoWord:
 
         def signed(scalar, body=""):
             sign = "-" if scalar < 0 else "+"
-            return f" {sign} {abs(scalar)}{body}"
+            return f" {sign} {rat_format(abs(scalar))}{body}"
 
         return " ; ".join(
             {
                 "PhiX": lambda g: f"(X, Y{signed(g.lam, f'*X^{g.n}')})",
                 "PhiY": lambda g: f"(X{signed(g.lam, f'*Y^{g.n}')}, Y)",
-                "Torus": lambda g: f"({g.mu}*X, {1 / g.mu}*Y)",
+                "Torus": lambda g: f"({rat_format(g.mu)}*X, {rat_format(1 / g.mu)}*Y)",
                 "Translate": lambda g: f"(X{signed(g.c)}, Y{signed(g.d)})",
                 "Xi": lambda g: "(Y, -X)",
             }[type(g).__name__](g)

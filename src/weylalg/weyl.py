@@ -191,11 +191,7 @@ class GradedElement:
         o = self._promote(other)
         if o is None:
             return NotImplemented
-        cls, a, b = self._join(self, o)
-        if cls is BElement:
-            return {i: _coerce_ratfunc(c) for i, c in a._comp.items()} == {
-                i: _coerce_ratfunc(c) for i, c in b._comp.items()
-            }
+        _, a, b = self._join(self, o)
         return a._comp == b._comp
 
     def __hash__(self):

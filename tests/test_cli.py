@@ -1,14 +1,35 @@
+import contextlib
+import io
 import json
+import re
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylalg.cli import main
+from weylalg.parser import MAX_EXPONENT
+
+# Python's int<->str digit limit; 0 (none) before 3.10.7 and 3.11
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_quiet(argv):
+    """Exit code, stdout and stderr of one in-process call, without fixtures."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # a usage error ends in argparse's exit
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestBasicCommands:
@@ -151,3 +172,51 @@ class TestDeterminism:
         code, out, _ = run_cli(capsys, "sweep", "case-v", "--p", "2", "--q", "3", "--max-coeff-deg", "1")
         assert code == 0
         assert "empty" in out
+
+
+@pytest.mark.skipif(not 0 < DIGIT_LIMIT < MAX_EXPONENT, reason="needs a finite int-to-str limit")
+class TestHugeIntegers:
+    def test_literal_over_digit_limit_exit_2(self, capsys):
+        literal = "1" + "0" * DIGIT_LIMIT
+        for text in (literal, f"X^{literal}", f"1/{literal}*Y"):
+            code, out, err = run_cli(capsys, "normalize", text)
+            assert (code, out) == (2, "")
+            assert f"more than {DIGIT_LIMIT} digits" in err
+
+    def test_unprintable_result_exit_3(self, capsys):
+        text = f"10^{DIGIT_LIMIT}*X + Y"  # a coefficient of DIGIT_LIMIT + 1 digits
+        for argv in (["normalize", text], ["normalize", text, "--json"], ["components", text]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert err == f"error: a coefficient has more than {DIGIT_LIMIT} digits to print\n"
+        assert run_cli(capsys, "degree", f"10^{DIGIT_LIMIT}")[:2] == (0, "0\n")
+
+
+# texts over the grammar's alphabet; single-digit exponents and at most one
+# power of a parenthesized group keep every example cheap to evaluate
+grammar_text = st.text(alphabet="XYH0123456789+-*^/() ", max_size=16).filter(
+    lambda t: not re.search(r"\^\s*\d\d", t) and t.replace(" ", "").count(")^") <= 1
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grammar_text)
+def test_any_text_exits_with_a_message(text):
+    for argv in (["normalize", text], ["commute", text, "X"]):
+        code, out, err = run_quiet(argv)
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert err == ""
+        else:
+            assert out == ""
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert err.startswith(("parse error: ", "error: ", "out of scope: ", "weyl "))
+
+
+def test_golden_calls_are_byte_stable():
+    """Replay tests/cli_golden.jsonl (written by tests/make_cli_golden.py)."""
+    with Path(__file__).with_name("cli_golden.jsonl").open(encoding="utf-8") as handle:
+        golden = [json.loads(line) for line in handle]
+    for record in golden:
+        code, out, _ = run_quiet(record["argv"])
+        assert (code, out) == (record["code"], record["stdout"]), record["argv"]

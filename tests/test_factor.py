@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from weylalg import DomainError, Poly, RatFunc, factor_poly, factor_ratfunc, is_irreducible
+from weylalg.factor import _gf_ddf, _gf_edf
 from weylalg.polynomials import clear_denominators
 
 H = Poly.gen()
@@ -113,8 +114,22 @@ class TestOracle:
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
         rng = random.Random(23)
-        for _ in range(25):
-            f = Poly({e: F(rng.randint(-9, 9)) for e in range(rng.randint(1, 7))}.items())
+        inputs = [
+            Poly({e: F(rng.randint(-9, 9)) for e in range(rng.randint(1, 7))}.items())
+            for _ in range(25)
+        ]
+        # products of 2-5 integer factors up to total degree 24, the range of
+        # centralizer inputs, where modular factors of equal degree are common
+        for _ in range(40):
+            count = rng.randint(2, 5)
+            f = Poly.one()
+            for _ in range(count):
+                degree = rng.randint(1, 24 // count)
+                coeffs = {e: F(rng.randint(-9, 9)) for e in range(degree)}
+                coeffs[degree] = F(rng.choice([1, 1, -1, 2, 3]))
+                f = f * Poly(coeffs.items())
+            inputs.append(f)
+        for f in inputs:
             if f.is_zero() or f.degree < 1:
                 continue
             mine = factor_poly(f)
@@ -127,6 +142,25 @@ class TestOracle:
                 their_map[monic] = their_map.get(monic, 0) + exp
             assert mine.exponent_map() == their_map
             assert mine.expand() == f
+
+
+def test_finite_field_splitting_against_sympy():
+    """_gf_ddf then _gf_edf give sympy's irreducible factors in F_p[x]."""
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor_sqf, gf_sqf_p
+
+    rng = random.Random(24)
+    checked = 0
+    while checked < 200:
+        p = rng.choice([3, 5, 7, 11, 13])
+        f = [rng.randrange(p) for _ in range(rng.randint(1, 12))] + [1]  # monic, ascending
+        if not gf_sqf_p(f[::-1], p, ZZ):
+            continue
+        mine = sorted(u for g, d in _gf_ddf(f, p) for u in _gf_edf(g, d, p, rng))
+        theirs = sorted(u[::-1] for u in gf_factor_sqf(f[::-1], p, ZZ)[1])  # sympy: descending
+        assert mine == theirs, (f, p)
+        checked += 1
 
 
 class TestStructure:
