@@ -15,19 +15,20 @@ one generator at a time:
 Every certificate is re-verified by application before it is returned.
 
 impossibility_sweep encodes the excluded configurations as exact linear
-systems over Q (fraction-free elimination, no floating point) and reports
-each cell as empty or solvable with an independently checked witness.
+systems with integer coefficients, solves them by fraction-free
+Gauss-Jordan elimination over one common denominator (no rational and no
+floating-point number until a witness is built), and reports each cell as
+empty or solvable with an independently checked witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import DomainError, OutOfScopeError
 from .parser import format_pretty
-from .polynomials import Poly, delta_op, rat_to_str
+from .polynomials import Poly, _poly, _taylor_shift, delta_op, rat_to_str
 from .tame import AutoWord, PhiX, PhiY, Torus, Translate, Xi, affine_decompose, apply_auto
 from .weyl import (
     ONE,
@@ -182,63 +183,55 @@ def certify_pair(P: WeylElement, Q: WeylElement) -> AutoWord:
 # ----------------------------------------------------------------------
 
 def _solve_exact(rows, rhs):
-    """Solve rows * x = rhs over Q.
+    """Solve rows * x = rhs over Q, for integer rows and an integer rhs.
 
-    Returns (particular, kernel_basis) or None when inconsistent.  The
-    forward elimination is Bareiss fraction-free on integer rows.
+    Returns None when the system is inconsistent, else (den, particular,
+    kernel): den > 0 and integer vectors such that the solutions are exactly
+    (particular + sum_k t_k * kernel_k) / den over rational t_k.
+    particular / den is the solution with every free variable 0, and
+    kernel_k / den the kernel vector with the k-th free variable (in column
+    order) 1 and the others 0.
+
+    Fraction-free Gauss-Jordan (Bareiss): each column takes its first
+    nonzero entry at or below the current rank as pivot and eliminates it
+    above and below, dividing exactly by the previous pivot.  At the end
+    every pivot entry equals the last pivot, which is the common
+    denominator, and no rational number is ever formed.
     """
     m = len(rows)
     n = len(rows[0]) if rows else 0
-    aug = []
-    for row, r in zip(rows, rhs):
-        entries = [Fraction(v) for v in row] + [Fraction(r)]
-        scale = lcm(*(v.denominator for v in entries))
-        aug.append([int(v * scale) for v in entries])
+    aug = [list(row) + [r] for row, r in zip(rows, rhs)]
     pivots = []
     rank = 0
     prev = 1
     for col in range(n):
-        sel = None
-        for i in range(rank, m):
-            if aug[i][col]:
-                sel = i
-                break
+        sel = next((i for i in range(rank, m) if aug[i][col]), None)
         if sel is None:
             continue
         aug[rank], aug[sel] = aug[sel], aug[rank]
-        for i in range(rank + 1, m):
-            lead = aug[i][col]
-            row_i = aug[i]
-            row_r = aug[rank]
-            for j in range(col, n + 1):
-                row_i[j] = (row_r[col] * row_i[j] - lead * row_r[j]) // prev
-        prev = aug[rank][col]
+        row_r = aug[rank]
+        pivot = row_r[col]
+        for i in range(m):
+            if i != rank:
+                lead = aug[i][col]
+                aug[i] = [(pivot * a - lead * b) // prev for a, b in zip(aug[i], row_r)]
+        prev = pivot
         pivots.append(col)
         rank += 1
-    for i in range(rank, m):
-        if aug[i][n]:
-            return None
-    free_cols = [c for c in range(n) if c not in pivots]
-
-    def back_substitute(use_rhs, free_values):
-        x = [Fraction(0)] * n
-        for c, v in free_values.items():
-            x[c] = v
-        for i in range(rank - 1, -1, -1):
-            col = pivots[i]
-            acc = Fraction(aug[i][n]) if use_rhs else Fraction(0)
-            for j in range(col + 1, n):
-                if aug[i][j]:
-                    acc -= aug[i][j] * x[j]
-            x[col] = acc / aug[i][col]
-        return x
-
-    particular = back_substitute(True, {c: Fraction(0) for c in free_cols})
+    if any(aug[i][n] for i in range(rank, m)):
+        return None
+    sign = 1 if prev > 0 else -1
+    particular = [0] * n
+    for i, col in enumerate(pivots):
+        particular[col] = sign * aug[i][n]
     kernel = []
-    for fc in free_cols:
-        values = {c: Fraction(1 if c == fc else 0) for c in free_cols}
-        kernel.append(back_substitute(False, values))
-    return particular, kernel
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [0] * n
+        vec[fc] = sign * prev
+        for i, col in enumerate(pivots):
+            vec[col] = -sign * aug[i][fc]
+        kernel.append(vec)
+    return sign * prev, particular, kernel
 
 
 def _functional_vanishes(index, particular, kernel):
@@ -320,33 +313,35 @@ class SweepReport:
 
 
 def _delta_columns(deg_bound, shift):
-    return [delta_op(Poly(((e, Fraction(1)),)), shift) if e else Poly.zero() for e in range(deg_bound + 1)]
+    """Integer coefficient lists of (1 - sigma^shift)(H^e) for e = 0..deg_bound."""
+    columns = []
+    for e in range(deg_bound + 1):
+        shifted = [0] * e + [1]
+        _taylor_shift(shifted, -shift)  # H^e -> (H - shift)^e, as Poly.sigma does
+        columns.append([-c for c in shifted[:e]])  # the H^e terms cancel
+    return columns
 
 
-def _system_rows(blocks, rhs_poly):
-    """Rows of the linear system sum_blocks (1 - sigma^shift)(block poly) = rhs."""
+def _system_rows(blocks):
+    """Integer rows and rhs of sum_blocks (1 - sigma^shift)(block poly) = 1."""
     columns = []
     for deg_bound, shift in blocks:
         columns.extend(_delta_columns(deg_bound, shift))
-    max_deg = max([rhs_poly.degree if not rhs_poly.is_zero() else 0]
-                  + [c.degree for c in columns if not c.is_zero()] + [0])
-    rows = []
-    rhs = []
-    for exp in range(int(max_deg) + 1):
-        rows.append([c.coeff(exp) for c in columns])
-        rhs.append(rhs_poly.coeff(exp))
+    size = max([1] + [len(c) for c in columns])
+    rows = [[c[exp] if exp < len(c) else 0 for c in columns] for exp in range(size)]
+    rhs = [1] + [0] * (size - 1)
     return rows, rhs
 
 
 def _cell_pair_system(p, q, deg_a, deg_b, pattern):
     """Cell for: exists a (exact degree deg_a), b (exact degree deg_b) with
     (1 - sigma^-p)(a) + (1 - sigma^-q)(b) = 1."""
-    rows, rhs = _system_rows([(deg_a, -p), (deg_b, -q)], Poly.one())
+    rows, rhs = _system_rows([(deg_a, -p), (deg_b, -q)])
     solved = _solve_exact(rows, rhs)
     detail = f"(1-s^-{p})(a) + (1-s^-{q})(b) = 1, deg a = {deg_a}, deg b = {deg_b}"
     if solved is None:
         return SweepCell(pattern, p, q, deg_a, deg_b, "empty", detail + "; system inconsistent")
-    particular, kernel = solved
+    den, particular, kernel = solved
     top_a = deg_a
     top_b = deg_a + 1 + deg_b
     for idx, name in ((top_a, "a"), (top_b, "b")):
@@ -358,8 +353,8 @@ def _cell_pair_system(p, q, deg_a, deg_b, pattern):
     point = _point_avoiding_zeros(particular, kernel, [top_a, top_b])
     if point is None:
         return SweepCell(pattern, p, q, deg_a, deg_b, "empty", detail + "; leading coefficients cannot both survive")
-    a_poly = Poly((e, point[e]) for e in range(deg_a + 1))
-    b_poly = Poly((e, point[deg_a + 1 + e]) for e in range(deg_b + 1))
+    a_poly = _poly(point[:deg_a + 1], den)
+    b_poly = _poly(point[deg_a + 1:], den)
     if delta_balance_check(a_poly, b_poly, p, q) != Poly.one():
         raise RuntimeError("sweep witness failed independent verification")
     witness = {"a": a_poly.to_json(), "b": b_poly.to_json()}
@@ -371,7 +366,7 @@ def _cell_single_system(p, q, deg_a, deg_b, pattern, extra=""):
     [alpha X^p, beta Y^p] = 1, relaxed to gamma = alpha sigma^p(beta) (p,-p)
     of exact degree deg_a + deg_b + p with (1 - sigma^-p)(gamma) = 1."""
     big = deg_a + deg_b + p
-    rows, rhs = _system_rows([(big, -p)], Poly.one())
+    rows, rhs = _system_rows([(big, -p)])
     solved = _solve_exact(rows, rhs)
     detail = (
         f"[a X^{p}, b Y^{p}] = 1 via (1-s^-{p})(gamma) = 1, "
@@ -379,7 +374,7 @@ def _cell_single_system(p, q, deg_a, deg_b, pattern, extra=""):
     )
     if solved is None:
         return SweepCell(pattern, p, q, deg_a, deg_b, "empty", detail + "; system inconsistent")
-    particular, kernel = solved
+    _, particular, kernel = solved
     if _functional_vanishes(big, particular, kernel):
         return SweepCell(
             pattern, p, q, deg_a, deg_b, "empty",

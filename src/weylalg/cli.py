@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 parse or usage error, 3 domain error (e.g. a
 certify pair whose commutator is not 1, or a result too large to print), 4
-out-of-scope input (mass hypotheses violated).  An expression that starts
-with '-' and has no space goes after '--': weyl normalize -- -H.
+out-of-scope input (mass hypotheses violated).  An expression may start
+with '-' (weyl normalize -H); '--' before the expressions still works.
 All output is deterministic given the arguments and --seed; --json switches
 to the canonical single-line JSON forms.
 """
@@ -27,23 +27,23 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(args, json_obj, text):
-    return [dumps_canonical(json_obj) if args.json else text]
+def _emit(args, obj, text=str):
+    """The one output line of obj: canonical JSON or text(obj), only the form asked for."""
+    return [dumps_canonical(obj.to_json()) if args.json else text(obj)]
 
 
 def _cmd_normalize(args):
-    element = normalize_text(args.expr)
-    return _emit(args, element.to_json(), format_pretty(element))
+    return _emit(args, normalize_text(args.expr), format_pretty)
 
 
 def _cmd_commute(args):
     result = commutator(normalize_text(args.left), normalize_text(args.right))
-    return _emit(args, result.to_json(), format_pretty(result))
+    return _emit(args, result, format_pretty)
 
 
 def _cmd_mass(args):
     value = mass(normalize_text(args.expr))
-    return _emit(args, {"mass": value}, str(value))
+    return [dumps_canonical({"mass": value}) if args.json else str(value)]
 
 
 def _cmd_components(args):
@@ -55,8 +55,9 @@ def _cmd_components(args):
 
 def _cmd_degree(args):
     degree = total_degree(normalize_text(args.expr))
-    text = "-inf" if degree == NEG_INF else str(degree)
-    return _emit(args, {"total_degree": None if degree == NEG_INF else degree}, text)
+    if args.json:
+        return [dumps_canonical({"total_degree": None if degree == NEG_INF else degree})]
+    return ["-inf" if degree == NEG_INF else str(degree)]
 
 
 def _cmd_centralizer(args):
@@ -71,7 +72,7 @@ def _cmd_centralizer(args):
         if u.coeff.is_constant():
             raise DomainError("constants are central")
         marker = centralizer_rational(u.coeff)
-        return _emit(args, {"centralizer": marker}, marker)
+        return [dumps_canonical({"centralizer": marker}) if args.json else marker]
     lead, monic = u.monic_split()
     result = centralizer_generator(monic)
     v_graded = result.v.to_graded()
@@ -91,8 +92,7 @@ def _cmd_centralizer(args):
 def _cmd_certify(args):
     P = normalize_text(args.left)
     Q = normalize_text(args.right)
-    word = certify_pair(P, Q)
-    return _emit(args, word.to_json(), str(word))
+    return _emit(args, certify_pair(P, Q))
 
 
 def _cmd_sweep(args):
@@ -112,7 +112,7 @@ def _cmd_random_auto(args):
     word = random_tame(
         args.seed, word_len=args.word_len, max_n=args.max_n, coeff_height=args.coeff_height
     )
-    return _emit(args, word.to_json(), str(word))
+    return _emit(args, word)
 
 
 def _cmd_apply(args):
@@ -122,8 +122,7 @@ def _cmd_apply(args):
         except (ValueError, RecursionError) as exc:  # invalid or too deeply nested JSON
             raise DomainError(f"{args.word_file} is not a JSON word: {exc}") from None
     word = AutoWord.from_json(obj)
-    element = apply_auto(word, normalize_text(args.expr))
-    return _emit(args, element.to_json(), format_pretty(element))
+    return _emit(args, apply_auto(word, normalize_text(args.expr)), format_pretty)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -177,9 +176,37 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return top
 
 
+# commands whose positional arguments are expressions (apply: a file, then one)
+_EXPRESSION_COMMANDS = {
+    "normalize", "commute", "mass", "components", "degree", "centralizer", "certify", "apply",
+}
+
+
+def _expressions_after_dashes(argv):
+    """argv with an expression command's options first and its positionals after '--'.
+
+    argparse reads any argument that starts with '-' as an option, so an
+    expression such as -H or -1/2 would be rejected.  For these commands
+    the only options are -h and long ones (--json, --help), so every other
+    argument is a positional; everything after a '--' already given is one.
+    """
+    if not argv or argv[0] not in _EXPRESSION_COMMANDS:
+        return argv
+    options, positionals = [], []
+    rest = argv[1:]
+    for i, arg in enumerate(rest):
+        if arg == "--":
+            positionals.extend(rest[i + 1:])
+            break
+        is_option = arg == "-h" or arg.startswith("--")
+        (options if is_option else positionals).append(arg)
+    return [argv[0], *options, "--", *positionals]
+
+
 def main(argv=None) -> int:
     parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_expressions_after_dashes(argv))
     try:
         # a command returns all its output lines, so a failure prints none
         lines = args.func(args)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from test_cli import run_quiet
+from test_cli import LEADING_MINUS, run_quiet
 from weylalg import Poly, positive_divisors, twisted_product
 
 GOLDEN = Path(__file__).with_name("cli_golden.jsonl")
@@ -95,6 +95,7 @@ def golden_calls():
         calls.append(["commute", left, right])
         calls.append(["commute", left, right, "--json"])
     calls.append(["normalize", "X^"])
+    calls.extend(dashed for _, dashed in LEADING_MINUS)
     calls.append(["normalize", "X^10001"])
     calls.extend(_centralizer_calls())
     for left, right in CERTIFY:
@@ -102,6 +103,10 @@ def golden_calls():
         calls.append(["certify", left, right, "--json"])
     for pattern in ("case-ii", "case-iii", "case-v"):
         calls.append(["sweep", pattern, "--p", "4", "--q", "4", "--max-coeff-deg", "3", "--json"])
+    # larger sweeps, where the witnesses have big coefficients
+    calls.append(["sweep", "case-ii", "--p", "6", "--q", "6", "--max-coeff-deg", "5", "--json"])
+    calls.append(["sweep", "case-iii", "--p", "7", "--q", "7", "--max-coeff-deg", "6", "--json"])
+    calls.append(["sweep", "case-v", "--p", "7", "--q", "7", "--max-coeff-deg", "6", "--json"])
     calls.append(["sweep", "case-v", "--p", "2", "--q", "3", "--max-coeff-deg", "1"])
     for seed in (1, 2, 7, 8, 13):
         calls.append(["random-auto", "--seed", str(seed)])

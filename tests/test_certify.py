@@ -2,7 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sweep_oracle import solve_exact as oracle_solve_exact
 from weylalg import (
     DomainError,
     OutOfScopeError,
@@ -20,6 +22,8 @@ from weylalg import (
     random_tame,
     structure_constant,
 )
+from weylalg.certify import _delta_columns, _solve_exact
+from weylalg.polynomials import delta_op
 from weylalg.weyl import ONE, X, Y
 
 Hp = Poly.gen()
@@ -205,6 +209,80 @@ class TestSweep:
     def test_worker_env_does_not_change_output(self):
         bounds = {"p": 2, "q": 2, "max_coeff_deg": 2}
         assert impossibility_sweep("case-ii", bounds) == impossibility_sweep("case-ii", bounds)
+
+
+entries = st.integers(-5, 5)
+
+
+@st.composite
+def integer_systems(draw):
+    """Integer systems up to 8 x 10 with entries in -5..5.
+
+    Rows are fresh, zero, or copies or negations of an earlier row, and a
+    column may repeat an earlier one, so rank deficiency is common; the rhs
+    is either A x0 (consistent) or drawn freely, which a repeated row with a
+    different rhs makes inconsistent.
+    """
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 10))
+    kinds = ("fresh", "zero", "copy", "negate")
+    rows = []
+    for i in range(m):
+        kind = draw(st.sampled_from(kinds if i else kinds[:2]))
+        if kind == "fresh":
+            rows.append(draw(st.lists(entries, min_size=n, max_size=n)))
+        elif kind == "zero":
+            rows.append([0] * n)
+        else:
+            j = draw(st.integers(0, i - 1))
+            rows.append([v if kind == "copy" else -v for v in rows[j]])
+    for c in range(1, n):
+        if draw(st.integers(0, 3)) == 0:  # about one column in four repeats
+            src = draw(st.integers(0, c - 1))
+            for row in rows:
+                row[c] = row[src]
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+    else:
+        rhs = draw(st.lists(entries, min_size=m, max_size=m))
+    return rows, rhs
+
+
+class TestSolver:
+    @settings(max_examples=400, deadline=None)
+    @given(integer_systems())
+    def test_agrees_with_fraction_oracle(self, system):
+        rows, rhs = system
+        expected = oracle_solve_exact(rows, rhs)
+        solved = _solve_exact(rows, rhs)
+        if expected is None:
+            assert solved is None
+            return
+        den, particular, kernel = solved
+        assert type(den) is int and den > 0
+        assert all(type(v) is int for vec in [particular, *kernel] for v in vec)
+        want_particular, want_kernel = expected
+        assert [F(v, den) for v in particular] == want_particular
+        assert len(kernel) == len(want_kernel)
+        for vec, want in zip(kernel, want_kernel):
+            assert [F(v, den) for v in vec] == want
+
+    def test_inconsistent_and_rank_deficient(self):
+        assert _solve_exact([[1, 2], [2, 4]], [1, 3]) is None
+        den, particular, kernel = _solve_exact([[0, 0, 0], [2, 4, 6], [1, 2, 3]], [0, 2, 1])
+        assert [F(v, den) for v in particular] == [1, 0, 0]
+        assert [[F(v, den) for v in vec] for vec in kernel] == [[-2, 1, 0], [-3, 0, 1]]
+
+    @pytest.mark.parametrize("shift", [s for k in range(1, 8) for s in (k, -k)])
+    def test_delta_columns_match_delta_op(self, shift):
+        for deg_bound in range(13):
+            columns = _delta_columns(deg_bound, shift)
+            assert len(columns) == deg_bound + 1
+            for e, column in enumerate(columns):
+                assert len(column) == e  # the degree drops by exactly one
+                assert all(type(c) is int for c in column)
+                assert Poly(enumerate(column)) == delta_op(Poly(((e, 1),)), shift)
 
 
 class TestPowerRelations:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weylalg import cli
 from weylalg.cli import main
 from weylalg.parser import MAX_EXPONENT
 
@@ -153,6 +154,41 @@ class TestCentralizerCommand:
         assert payload["s"] == 1
 
 
+class TestOutputForms:
+    def test_json_does_not_build_the_text(self, capsys, monkeypatch):
+        def refuse(element):
+            raise AssertionError("format_pretty called for --json")
+
+        monkeypatch.setattr(cli, "format_pretty", refuse)
+        assert run_cli(capsys, "normalize", "X", "--json")[:2] == (
+            0, '{"components":[[1,{"poly":[[0,"1/1"]]}]]}\n')
+        assert run_cli(capsys, "commute", "Y", "X", "--json")[0] == 0
+
+
+# an expression that starts with '-', bare and after '--' (the '--' forms are
+# also pinned in cli_golden.jsonl)
+LEADING_MINUS = [
+    (["normalize", "-H"], ["normalize", "--", "-H"]),
+    (["normalize", "-1/2", "--json"], ["normalize", "--json", "--", "-1/2"]),
+    (["commute", "-X", "Y"], ["commute", "--", "-X", "Y"]),
+]
+
+
+class TestLeadingMinus:
+    @pytest.mark.parametrize("bare, dashed", LEADING_MINUS)
+    def test_bare_form_matches_dashed_form(self, bare, dashed):
+        code, out, _ = run_quiet(bare)
+        assert code == 0
+        assert (code, out) == run_quiet(dashed)[:2]
+
+    def test_options_keep_their_meaning(self):
+        for flag in ("-h", "--help"):
+            code, out, _ = run_quiet(["normalize", "-X", flag])
+            assert code == 0 and out.startswith("usage: weyl normalize")
+        assert run_quiet(["mass", "--json", "-X^2", "-Y"]) == (2, "", "weyl: error: unrecognized arguments: -Y\n")
+        assert run_quiet(["degree", "-X^2*Y", "--json"])[:2] == (0, '{"total_degree":3}\n')
+
+
 class TestDeterminism:
     def test_random_auto_seeded(self, capsys):
         first = run_cli(capsys, "random-auto", "--seed", "7", "--json")
@@ -185,7 +221,8 @@ class TestHugeIntegers:
 
     def test_unprintable_result_exit_3(self, capsys):
         text = f"10^{DIGIT_LIMIT}*X + Y"  # a coefficient of DIGIT_LIMIT + 1 digits
-        for argv in (["normalize", text], ["normalize", text, "--json"], ["components", text]):
+        for argv in (["normalize", text], ["normalize", text, "--json"],
+                     ["components", text], ["components", text, "--json"]):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (3, "")
             assert err == f"error: a coefficient has more than {DIGIT_LIMIT} digits to print\n"
