@@ -12,13 +12,16 @@ with k = |n| / s.  The solver factors alpha, groups the irreducible bases
 into orbits of the shift H -> H - s, and solves an integer deconvolution
 for the exponent pattern inside each orbit.  Infeasibility is certified by
 either a degree obstruction or the first nonvanishing residue position of
-the deconvolution.
+the deconvolution.  The factorization does not depend on s, so
+centralizer_generator factors alpha once per query, at the first divisor
+that passes the degree test, and reuses it for every later divisor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import DomainError, TwistedRootInfeasible
 from .factor import FactoredPoly, _poly_key, factor_ratfunc
@@ -153,6 +156,16 @@ def solve_twisted_root(alpha: RatFunc, k: int, s: int, direction: str) -> RatFun
 
     Raises TwistedRootInfeasible when no such beta exists for this divisor.
     """
+    return _twisted_root(alpha, k, s, direction, lambda: factor_ratfunc(alpha))
+
+
+def _twisted_root(alpha: RatFunc, k: int, s: int, direction: str, factored) -> RatFunc:
+    """solve_twisted_root, with the factorization of alpha taken from factored().
+
+    factored is called only for a divisor that passes the degree test; the
+    factorization does not depend on s, so a caller trying several divisors
+    can hand in one that factors alpha once.
+    """
     if direction not in ("plus", "minus"):
         raise ValueError(f"direction must be 'plus' or 'minus', got {direction!r}")
     if k <= 0 or s <= 0:
@@ -169,9 +182,8 @@ def solve_twisted_root(alpha: RatFunc, k: int, s: int, direction: str) -> RatFun
             InfeasibilityCertificate(divisor=s, kind="degree", forced_degree=(deg, k))
         )
     mirror = direction == "minus"
-    factors = factor_ratfunc(alpha)
     beta = RatFunc(Poly.one())
-    for orbit in shift_orbit_partition(factors, s):
+    for orbit in shift_orbit_partition(factored(), s):
         exponents = dict(orbit.exponents)
         if mirror:
             exponents = {-j: e for j, e in exponents.items()}
@@ -235,11 +247,12 @@ def centralizer_generator(u: HomogeneousElement) -> CentralizerResult:
     direction = "plus" if n > 0 else "minus"
     sign = 1 if n > 0 else -1
     alpha = u.coeff
+    factored = cache(lambda: factor_ratfunc(alpha))
     certificates = []
     for s in positive_divisors(n):
         k = abs(n) // s
         try:
-            beta = solve_twisted_root(alpha, k, s, direction)
+            beta = _twisted_root(alpha, k, s, direction, factored)
         except TwistedRootInfeasible as exc:
             certificates.append(exc.certificate)
             continue

@@ -15,16 +15,21 @@ one generator at a time:
 Every certificate is re-verified by application before it is returned.
 
 impossibility_sweep encodes the excluded configurations as exact linear
-systems with integer coefficients, solves them by fraction-free
-Gauss-Jordan elimination over one common denominator (no rational and no
-floating-point number until a witness is built), and reports each cell as
-empty or solvable with an independently checked witness.
+systems with integer coefficients and reports each cell as empty or
+solvable with an independently checked witness.  Every system is one
+triangular block per unknown polynomial: the column of H^e under
+1 - sigma^s ends in row e - 1 with the entry e*s, never zero.  So the
+pivots are known before any elimination, and the solver back-substitutes
+on them in integers with exact division, over one common denominator (no
+rational and no floating-point number until a witness is built).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from operator import mul
 
 from .errors import DomainError, OutOfScopeError
 from .parser import format_pretty
@@ -179,59 +184,78 @@ def certify_pair(P: WeylElement, Q: WeylElement) -> AutoWord:
 
 
 # ----------------------------------------------------------------------
-# exact linear algebra (fraction-free)
+# exact linear algebra on the sweep's triangular blocks
 # ----------------------------------------------------------------------
 
-def _solve_exact(rows, rhs):
-    """Solve rows * x = rhs over Q, for integer rows and an integer rhs.
+def _delta_columns(deg_bound, shift):
+    """Integer coefficient lists of (1 - sigma^shift)(H^e) for e = 0..deg_bound."""
+    columns = []
+    for e in range(deg_bound + 1):
+        shifted = [0] * e + [1]
+        _taylor_shift(shifted, -shift)  # H^e -> (H - shift)^e, as Poly.sigma does
+        columns.append([-c for c in shifted[:e]])  # the H^e terms cancel
+    return columns
 
-    Returns None when the system is inconsistent, else (den, particular,
-    kernel): den > 0 and integer vectors such that the solutions are exactly
+
+def _solve_blocks(blocks):
+    """Solve sum over blocks (1 - sigma^shift)(f) = 1 for f of degree <= deg_bound.
+
+    blocks is a list of (deg_bound, shift); the unknowns are the coefficients
+    of H^0..H^deg_bound of each block's f, block after block.  Returns None
+    when the system is inconsistent, else (den, particular, kernel): den > 0
+    and integer vectors such that the solutions are exactly
     (particular + sum_k t_k * kernel_k) / den over rational t_k.
     particular / den is the solution with every free variable 0, and
     kernel_k / den the kernel vector with the k-th free variable (in column
     order) 1 and the others 0.
 
-    Fraction-free Gauss-Jordan (Bareiss): each column takes its first
-    nonzero entry at or below the current rank as pivot and eliminates it
-    above and below, dividing exactly by the previous pivot.  At the end
-    every pivot entry equals the last pivot, which is the common
-    denominator, and no rational number is ever formed.
+    The column of H^e ends in row e - 1 with the entry e * shift, so the
+    pivot of row i is the first column whose last entry sits in row i, and
+    the pivot columns form an upper triangular matrix U.  den is |det U|,
+    and den * U^-1 applied to the right-hand side and to each free column
+    comes out of integer back-substitution with exact division.
     """
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    aug = [list(row) + [r] for row, r in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    prev = 1
-    for col in range(n):
-        sel = next((i for i in range(rank, m) if aug[i][col]), None)
-        if sel is None:
-            continue
-        aug[rank], aug[sel] = aug[sel], aug[rank]
-        row_r = aug[rank]
-        pivot = row_r[col]
-        for i in range(m):
-            if i != rank:
-                lead = aug[i][col]
-                aug[i] = [(pivot * a - lead * b) // prev for a, b in zip(aug[i], row_r)]
-        prev = pivot
-        pivots.append(col)
-        rank += 1
-    if any(aug[i][n] for i in range(rank, m)):
-        return None
-    sign = 1 if prev > 0 else -1
+    columns = [c for deg_bound, shift in blocks for c in _delta_columns(deg_bound, shift)]
+    size = max(len(c) for c in columns)
+    if not size:
+        return None  # every column is empty: the system reads 0 = 1
+    pivots = [None] * size
+    for index, column in enumerate(columns):
+        if column and pivots[len(column) - 1] is None:
+            pivots[len(column) - 1] = index
+    if None in pivots:
+        raise _internal("sweep system has a row without a pivot")
+    diagonal = [columns[col][i] for i, col in enumerate(pivots)]
+    if not all(diagonal):
+        raise _internal("sweep system has a zero pivot")
+    # rows[i] holds the entries of row i in the pivot columns right of the diagonal
+    rows = [[columns[col][i] for col in pivots[i + 1:]] for i in range(size)]
+    den = abs(prod(diagonal))
+
+    def scaled_solution(target):
+        """den * U^-1 target, for an integer target of at most size entries."""
+        y = []  # the solution from the bottom row up to the current one
+        for i in range(len(target) - 1, -1, -1):
+            tail = rows[i]
+            value, rest = divmod(den * target[i] - sum(map(mul, tail, reversed(y))), diagonal[i])
+            if rest:
+                raise _internal("sweep back-substitution left a remainder")
+            y.append(value)
+        y.reverse()
+        return y
+
+    n = len(columns)
     particular = [0] * n
-    for i, col in enumerate(pivots):
-        particular[col] = sign * aug[i][n]
+    for col, value in zip(pivots, scaled_solution([1])):
+        particular[col] = value
     kernel = []
-    for fc in (c for c in range(n) if c not in pivots):
+    for free in sorted(set(range(n)) - set(pivots)):
         vec = [0] * n
-        vec[fc] = sign * prev
-        for i, col in enumerate(pivots):
-            vec[col] = -sign * aug[i][fc]
+        vec[free] = den
+        for col, value in zip(pivots, scaled_solution(columns[free])):
+            vec[col] = -value
         kernel.append(vec)
-    return sign * prev, particular, kernel
+    return den, particular, kernel
 
 
 def _functional_vanishes(index, particular, kernel):
@@ -312,32 +336,10 @@ class SweepReport:
         return [c for c in self.cells if c.status == "solutions"]
 
 
-def _delta_columns(deg_bound, shift):
-    """Integer coefficient lists of (1 - sigma^shift)(H^e) for e = 0..deg_bound."""
-    columns = []
-    for e in range(deg_bound + 1):
-        shifted = [0] * e + [1]
-        _taylor_shift(shifted, -shift)  # H^e -> (H - shift)^e, as Poly.sigma does
-        columns.append([-c for c in shifted[:e]])  # the H^e terms cancel
-    return columns
-
-
-def _system_rows(blocks):
-    """Integer rows and rhs of sum_blocks (1 - sigma^shift)(block poly) = 1."""
-    columns = []
-    for deg_bound, shift in blocks:
-        columns.extend(_delta_columns(deg_bound, shift))
-    size = max([1] + [len(c) for c in columns])
-    rows = [[c[exp] if exp < len(c) else 0 for c in columns] for exp in range(size)]
-    rhs = [1] + [0] * (size - 1)
-    return rows, rhs
-
-
 def _cell_pair_system(p, q, deg_a, deg_b, pattern):
     """Cell for: exists a (exact degree deg_a), b (exact degree deg_b) with
     (1 - sigma^-p)(a) + (1 - sigma^-q)(b) = 1."""
-    rows, rhs = _system_rows([(deg_a, -p), (deg_b, -q)])
-    solved = _solve_exact(rows, rhs)
+    solved = _solve_blocks([(deg_a, -p), (deg_b, -q)])
     detail = f"(1-s^-{p})(a) + (1-s^-{q})(b) = 1, deg a = {deg_a}, deg b = {deg_b}"
     if solved is None:
         return SweepCell(pattern, p, q, deg_a, deg_b, "empty", detail + "; system inconsistent")
@@ -366,8 +368,7 @@ def _cell_single_system(p, q, deg_a, deg_b, pattern, extra=""):
     [alpha X^p, beta Y^p] = 1, relaxed to gamma = alpha sigma^p(beta) (p,-p)
     of exact degree deg_a + deg_b + p with (1 - sigma^-p)(gamma) = 1."""
     big = deg_a + deg_b + p
-    rows, rhs = _system_rows([(big, -p)])
-    solved = _solve_exact(rows, rhs)
+    solved = _solve_blocks([(big, -p)])
     detail = (
         f"[a X^{p}, b Y^{p}] = 1 via (1-s^-{p})(gamma) = 1, "
         f"deg gamma = {deg_a} + {deg_b} + {p}{extra}"

@@ -57,8 +57,30 @@ def rat_format(c: Fraction) -> str:
     return _digits(c.numerator) if c.denominator == 1 else rat_to_str(c)
 
 
-def rat_from_str(text: str) -> Fraction:
-    return Fraction(text)
+def rat_from_json(value, what: str) -> Fraction:
+    """The rational a JSON string like "3/2" holds; anything else raises DomainError."""
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise DomainError(f'{what} must be a rational like "3/2", got {value!r}')
+
+
+def _json_list(obj, key: str, what: str) -> list:
+    """obj[key] when obj is a JSON object holding a list there; else DomainError."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, list):
+        raise DomainError(f'{what} must be a JSON object with a "{key}" list')
+    return value
+
+
+def _json_pairs(items: list, what: str) -> list:
+    """items when each is an [integer, value] pair; else DomainError."""
+    for item in items:
+        if not (isinstance(item, list) and len(item) == 2 and type(item[0]) is int):
+            raise DomainError(f"{what} entry {item!r} is not an [integer, value] pair")
+    return items
 
 
 def _power(base, n: int):
@@ -395,7 +417,8 @@ class Poly:
 
     @staticmethod
     def from_json(obj) -> "Poly":
-        return Poly((int(e), rat_from_str(c)) for e, c in obj["poly"])
+        """Rebuild a polynomial from its JSON form; malformed input raises DomainError."""
+        return _poly_from_json(_json_list(obj, "poly", "a polynomial"))
 
     def format(self) -> str:
         """Human text form, descending exponents, e.g. ``H^2 - 3/2*H + 1``."""
@@ -583,10 +606,13 @@ class RatFunc:
 
     @staticmethod
     def from_json(obj) -> "RatFunc":
-        body = obj["ratfunc"]
+        """Rebuild a rational function from its JSON form; malformed input raises DomainError."""
+        body = obj.get("ratfunc") if isinstance(obj, dict) else None
+        if not isinstance(body, dict):
+            raise DomainError('a rational function must be a JSON object with a "ratfunc" object')
         return RatFunc(
-            Poly.from_json({"poly": body["num"]}),
-            Poly.from_json({"poly": body["den"]}),
+            _poly_from_json(_json_list(body, "num", '"ratfunc"')),
+            _poly_from_json(_json_list(body, "den", '"ratfunc"')),
         )
 
     def format(self) -> str:
@@ -599,6 +625,15 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.format()!r})"
+
+
+def _poly_from_json(items: list) -> Poly:
+    terms = []
+    for exp, coeff in _json_pairs(items, "polynomial"):
+        if exp < 0:
+            raise DomainError(f"polynomial exponent {exp} is negative")
+        terms.append((exp, rat_from_json(coeff, "a polynomial coefficient")))
+    return Poly(terms)
 
 
 def sigma_pow(f, i: int):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .polynomials import Poly, _as_fraction, rat_format, rat_from_str, rat_to_str
+from .polynomials import Poly, _as_fraction, _json_list, rat_format, rat_from_json, rat_to_str
 from .weyl import WeylElement, X, Y, commutator, xi_apply
 
 __all__ = [
@@ -156,12 +156,7 @@ def _field_from_json(kind, item, field):
         if type(value) is not int:
             raise DomainError(f"{kind} field 'n' must be an integer, got {value!r}")
         return value
-    if isinstance(value, str):
-        try:
-            return rat_from_str(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise DomainError(f"{kind} field {field!r} must be a rational like \"3/2\", got {value!r}")
+    return rat_from_json(value, f"{kind} field {field!r}")
 
 
 @dataclass(frozen=True)
@@ -187,10 +182,7 @@ class AutoWord:
     @staticmethod
     def from_json(obj) -> "AutoWord":
         """Rebuild a word from its JSON form; malformed input raises DomainError."""
-        word = obj.get("word") if isinstance(obj, dict) else None
-        if not isinstance(word, list):
-            raise DomainError('a word must be a JSON object with a "word" list')
-        return AutoWord(tuple(_gen_from_json(item) for item in word))
+        return AutoWord(tuple(_gen_from_json(item) for item in _json_list(obj, "word", "a word")))
 
     def __str__(self):
         if not self.gens:

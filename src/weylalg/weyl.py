@@ -26,6 +26,8 @@ from .polynomials import (
     NEG_INF,
     Poly,
     RatFunc,
+    _json_list,
+    _json_pairs,
     _power,
     falling_window,
     monic_split,
@@ -221,9 +223,9 @@ class WeylElement(GradedElement):
 
     @staticmethod
     def from_json(obj) -> "WeylElement":
-        return WeylElement(
-            {int(i): Poly.from_json(c) for i, c in obj["components"]}
-        )
+        """Rebuild an element from its JSON form; malformed input raises DomainError."""
+        items = _json_pairs(_json_list(obj, "components", "an element"), "element")
+        return WeylElement({i: Poly.from_json(c) for i, c in items})
 
 
 class BElement(GradedElement):
@@ -245,9 +247,9 @@ class BElement(GradedElement):
 
     @staticmethod
     def from_json(obj) -> "BElement":
-        return BElement(
-            {int(i): RatFunc.from_json(c) for i, c in obj["components"]}
-        )
+        """Rebuild an element from its JSON form; malformed input raises DomainError."""
+        items = _json_pairs(_json_list(obj, "components", "an element"), "element")
+        return BElement({i: RatFunc.from_json(c) for i, c in items})
 
 
 X = WeylElement({1: 1})

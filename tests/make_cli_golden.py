@@ -74,6 +74,15 @@ def _centralizer_calls():
     return calls
 
 
+# alphas whose factorization serves several divisors: two residue
+# certificates; a polynomial alpha with a rational root beta; rational
+# coefficients with n = -6 and three residue certificates
+FACTOR_ONCE = [
+    "(H^2+1)^2*X^4",
+    "(H*(H-3))*X^2",
+    "((H - 1/2)*(H + 3/2))^3*Y^6",
+]
+
 CERTIFY = [
     ("Y", "X"),
     ("2*Y + X^3 + 1", "1/2*X"),
@@ -111,6 +120,9 @@ def golden_calls():
     for seed in (1, 2, 7, 8, 13):
         calls.append(["random-auto", "--seed", str(seed)])
         calls.append(["random-auto", "--seed", str(seed), "--json"])
+    for expr in FACTOR_ONCE:
+        calls.append(["centralizer", expr])
+        calls.append(["centralizer", expr, "--json"])
     return calls
 
 

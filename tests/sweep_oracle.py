@@ -1,13 +1,20 @@
-"""Reference solver for the sweep's linear systems.
+"""Reference solvers for the sweep's linear systems.
 
-Bareiss fraction-free forward elimination followed by back-substitution in
-``fractions.Fraction``.  It returns the solutions over Q directly, without
-the common denominator of :func:`weylalg.certify._solve_exact`, so the tests
-use it as an independent oracle for that solver.
+``solve_exact`` is Bareiss fraction-free forward elimination followed by
+back-substitution in ``fractions.Fraction``; it returns the solutions over Q
+directly, without a common denominator.  ``bareiss_solve`` is fraction-free
+Gauss-Jordan elimination on any integer system, returning the solutions
+over one common denominator; ``system_rows`` builds the dense rows of a
+sweep block system for it.  The tests check ``bareiss_solve`` against
+``solve_exact`` on random systems, and the sweep's structured solver
+:func:`weylalg.certify._solve_blocks`, which reads its pivots off the block
+shape, against ``bareiss_solve`` on the block systems.
 """
 
 from fractions import Fraction
 from math import lcm
+
+from weylalg.certify import _delta_columns
 
 
 def solve_exact(rows, rhs):
@@ -68,3 +75,66 @@ def solve_exact(rows, rhs):
         values = {c: Fraction(1 if c == fc else 0) for c in free_cols}
         kernel.append(back_substitute(False, values))
     return particular, kernel
+
+
+def bareiss_solve(rows, rhs):
+    """Solve rows * x = rhs over Q, for integer rows and an integer rhs.
+
+    Returns None when the system is inconsistent, else (den, particular,
+    kernel): den > 0 and integer vectors such that the solutions are exactly
+    (particular + sum_k t_k * kernel_k) / den over rational t_k.
+    particular / den is the solution with every free variable 0, and
+    kernel_k / den the kernel vector with the k-th free variable (in column
+    order) 1 and the others 0.
+
+    Fraction-free Gauss-Jordan (Bareiss): each column takes its first
+    nonzero entry at or below the current rank as pivot and eliminates it
+    above and below, dividing exactly by the previous pivot.  At the end
+    every pivot entry equals the last pivot, which is the common
+    denominator, and no rational number is ever formed.
+    """
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    aug = [list(row) + [r] for row, r in zip(rows, rhs)]
+    pivots = []
+    rank = 0
+    prev = 1
+    for col in range(n):
+        sel = next((i for i in range(rank, m) if aug[i][col]), None)
+        if sel is None:
+            continue
+        aug[rank], aug[sel] = aug[sel], aug[rank]
+        row_r = aug[rank]
+        pivot = row_r[col]
+        for i in range(m):
+            if i != rank:
+                lead = aug[i][col]
+                aug[i] = [(pivot * a - lead * b) // prev for a, b in zip(aug[i], row_r)]
+        prev = pivot
+        pivots.append(col)
+        rank += 1
+    if any(aug[i][n] for i in range(rank, m)):
+        return None
+    sign = 1 if prev > 0 else -1
+    particular = [0] * n
+    for i, col in enumerate(pivots):
+        particular[col] = sign * aug[i][n]
+    kernel = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [0] * n
+        vec[fc] = sign * prev
+        for i, col in enumerate(pivots):
+            vec[col] = -sign * aug[i][fc]
+        kernel.append(vec)
+    return sign * prev, particular, kernel
+
+
+def system_rows(blocks):
+    """Integer rows and rhs of sum_blocks (1 - sigma^shift)(block poly) = 1."""
+    columns = []
+    for deg_bound, shift in blocks:
+        columns.extend(_delta_columns(deg_bound, shift))
+    size = max([1] + [len(c) for c in columns])
+    rows = [[c[exp] if exp < len(c) else 0 for c in columns] for exp in range(size)]
+    rhs = [1] + [0] * (size - 1)
+    return rows, rhs

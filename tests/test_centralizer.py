@@ -170,6 +170,27 @@ class TestCentralizerGenerator:
                 assert twisted_product(RatFunc(cand), k, s, "plus") != alpha
 
 
+    def test_factors_alpha_once(self, monkeypatch):
+        # (H^2 + 1)^2 X^4: divisors 1 and 2 pass the degree test and both
+        # end in residue certificates, so one factorization serves both
+        from weylalg import centralizer, factor
+
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return factor.factor_ratfunc(f)
+
+        monkeypatch.setattr(centralizer, "factor_ratfunc", counting)
+        result = centralizer_generator(HomogeneousElement(4, RatFunc((Hp**2 + 1) ** 2)))
+        assert [(c.divisor, c.kind) for c in result.infeasible_divisors] == [
+            (1, "residue"),
+            (2, "residue"),
+        ]
+        assert result.s == 4
+        assert len(calls) == 1
+
+
 def _all_monic_int(deg, height):
     if deg == 0:
         yield Poly.one()

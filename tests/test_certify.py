@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sweep_oracle import solve_exact as oracle_solve_exact
+from sweep_oracle import bareiss_solve, solve_exact as oracle_solve_exact, system_rows
 from weylalg import (
     DomainError,
     OutOfScopeError,
@@ -22,7 +23,7 @@ from weylalg import (
     random_tame,
     structure_constant,
 )
-from weylalg.certify import _delta_columns, _solve_exact
+from weylalg.certify import _delta_columns, _solve_blocks
 from weylalg.polynomials import delta_op
 from weylalg.weyl import ONE, X, Y
 
@@ -255,7 +256,7 @@ class TestSolver:
     def test_agrees_with_fraction_oracle(self, system):
         rows, rhs = system
         expected = oracle_solve_exact(rows, rhs)
-        solved = _solve_exact(rows, rhs)
+        solved = bareiss_solve(rows, rhs)
         if expected is None:
             assert solved is None
             return
@@ -269,8 +270,8 @@ class TestSolver:
             assert [F(v, den) for v in vec] == want
 
     def test_inconsistent_and_rank_deficient(self):
-        assert _solve_exact([[1, 2], [2, 4]], [1, 3]) is None
-        den, particular, kernel = _solve_exact([[0, 0, 0], [2, 4, 6], [1, 2, 3]], [0, 2, 1])
+        assert bareiss_solve([[1, 2], [2, 4]], [1, 3]) is None
+        den, particular, kernel = bareiss_solve([[0, 0, 0], [2, 4, 6], [1, 2, 3]], [0, 2, 1])
         assert [F(v, den) for v in particular] == [1, 0, 0]
         assert [[F(v, den) for v in vec] for vec in kernel] == [[-2, 1, 0], [-3, 0, 1]]
 
@@ -283,6 +284,58 @@ class TestSolver:
                 assert len(column) == e  # the degree drops by exactly one
                 assert all(type(c) is int for c in column)
                 assert Poly(enumerate(column)) == delta_op(Poly(((e, 1),)), shift)
+
+
+class TestBlockSolver:
+    """The sweep's structured solver against Bareiss on the dense rows."""
+
+    def test_single_blocks_match_bareiss(self):
+        for big in range(25):
+            for p in range(1, 17):
+                blocks = [(big, -p)]
+                assert _solve_blocks(blocks) == bareiss_solve(*system_rows(blocks)), blocks
+
+    @pytest.mark.parametrize("p", range(1, 11))
+    def test_sweep_blocks_match_bareiss(self, p):
+        # case-ii/iii: one block of degree deg_a + deg_b + p
+        for big in range(p, p + 25):
+            blocks = [(big, -p)]
+            assert _solve_blocks(blocks) == bareiss_solve(*system_rows(blocks)), blocks
+        # case-v: two blocks side by side
+        for q in range(p, 11):
+            for deg_a in range(13):
+                for deg_b in range(13):
+                    blocks = [(deg_a, -p), (deg_b, -q)]
+                    assert _solve_blocks(blocks) == bareiss_solve(*system_rows(blocks)), blocks
+
+    def test_den_is_the_pivot_product(self):
+        # the pivot of H^e under 1 - sigma^-p is -e*p, so |det U| has a closed form
+        for p in range(1, 8):
+            for big in range(1, 13):
+                assert _solve_blocks([(big, -p)])[0] == factorial(big) * p**big
+            for q in range(1, 8):
+                for deg_a in range(10):
+                    for deg_b in range(max(deg_a, 1), 10):
+                        den = _solve_blocks([(deg_a, -p), (deg_b, -q)])[0]
+                        assert den == factorial(deg_b) * p**deg_a * q ** (deg_b - deg_a)
+
+    def test_all_empty_columns_are_inconsistent(self):
+        assert _solve_blocks([(0, -3)]) is None
+        assert _solve_blocks([(0, -2), (0, -5)]) is None
+        assert bareiss_solve(*system_rows([(0, -3)])) is None
+
+    def test_zero_shift_is_an_internal_defect(self):
+        # sigma^0 is the identity, so every column is zero and no pivot exists
+        with pytest.raises(RuntimeError, match="zero pivot"):
+            _solve_blocks([(3, 0)])
+
+    def test_solutions_satisfy_the_balance(self):
+        for p, q, deg_a, deg_b in ((2, 3, 2, 5), (3, 3, 4, 4), (1, 4, 0, 3)):
+            den, particular, kernel = _solve_blocks([(deg_a, -p), (deg_b, -q)])
+            for vec in [particular] + [[x + v for x, v in zip(particular, k)] for k in kernel]:
+                a = Poly(enumerate(F(v, den) for v in vec[:deg_a + 1]))
+                b = Poly(enumerate(F(v, den) for v in vec[deg_a + 1:]))
+                assert delta_balance_check(a, b, p, q) == Poly.one()
 
 
 class TestPowerRelations:

@@ -1,10 +1,14 @@
 import json
 import random
+import re
 from fractions import Fraction as F
+
+import pytest
 
 from weylalg import (
     AutoWord,
     BElement,
+    DomainError,
     Poly,
     RatFunc,
     WeylElement,
@@ -77,6 +81,36 @@ class TestJson:
         assert parsed["pattern"] == "case-ii"
         assert all(c["status"] in ("empty", "solutions") for c in parsed["cells"])
         assert dumps_canonical(report.to_json()) == blob
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize(
+        "cls, payload, message",
+        [
+            (Poly, "{}", '"poly" list'),
+            (Poly, '{"poly": 5}', '"poly" list'),
+            (Poly, "[]", '"poly" list'),
+            (Poly, '{"poly": [[0]]}', "not an [integer, value] pair"),
+            (Poly, '{"poly": [["0", "1/1"]]}', "not an [integer, value] pair"),
+            (Poly, '{"poly": [[1.5, "1/1"]]}', "not an [integer, value] pair"),
+            (Poly, '{"poly": [[-1, "1/1"]]}', "exponent -1 is negative"),
+            (Poly, '{"poly": [[0, 2]]}', "must be a rational"),
+            (Poly, '{"poly": [[0, "1/0"]]}', "must be a rational"),
+            (Poly, '{"poly": [[0, "half"]]}', "must be a rational"),
+            (RatFunc, '{"ratfunc": {}}', '"num" list'),
+            (RatFunc, '{"ratfunc": [[0, "1/1"]]}', '"ratfunc" object'),
+            (RatFunc, '{"ratfunc": {"num": [[0, "1/1"]]}}', '"den" list'),
+            (RatFunc, '{"ratfunc": {"num": [[0, "1/1"]], "den": []}}', "zero denominator"),
+            (WeylElement, '{"x": 1}', '"components" list'),
+            (WeylElement, '{"components": [[1]]}', "not an [integer, value] pair"),
+            (WeylElement, '{"components": [[1, {"poly": {}}]]}', '"poly" list'),
+            (BElement, '{"components": {}}', '"components" list'),
+            (BElement, '{"components": [[0, {"poly": [[0, "1/1"]]}]]}', '"ratfunc" object'),
+        ],
+    )
+    def test_raises_domain_error(self, cls, payload, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            cls.from_json(json.loads(payload))
 
 
 class TestTextRoundTrip:
