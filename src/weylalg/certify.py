@@ -21,7 +21,10 @@ triangular block per unknown polynomial: the column of H^e under
 1 - sigma^s ends in row e - 1 with the entry e*s, never zero.  So the
 pivots are known before any elimination, and the solver back-substitutes
 on them in integers with exact division, over one common denominator (no
-rational and no floating-point number until a witness is built).
+rational and no floating-point number until a witness is built).  Each sweep
+keeps one column table: the columns for a shift are built once, each from
+the one before by Pascal's rule, and every cell of the sweep reads them.
+The table goes away with the sweep.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from operator import mul
 
 from .errors import DomainError, OutOfScopeError
 from .parser import format_pretty
-from .polynomials import Poly, _poly, _taylor_shift, delta_op, rat_to_str
+from .polynomials import Poly, _poly, delta_op, rat_to_str
 from .tame import AutoWord, PhiX, PhiY, Torus, Translate, Xi, affine_decompose, apply_auto
 from .weyl import (
     ONE,
@@ -187,21 +190,34 @@ def certify_pair(P: WeylElement, Q: WeylElement) -> AutoWord:
 # exact linear algebra on the sweep's triangular blocks
 # ----------------------------------------------------------------------
 
-def _delta_columns(deg_bound, shift):
-    """Integer coefficient lists of (1 - sigma^shift)(H^e) for e = 0..deg_bound."""
-    columns = []
-    for e in range(deg_bound + 1):
-        shifted = [0] * e + [1]
-        _taylor_shift(shifted, -shift)  # H^e -> (H - shift)^e, as Poly.sigma does
-        columns.append([-c for c in shifted[:e]])  # the H^e terms cancel
-    return columns
+def _column_table():
+    """A per-sweep table: table(deg_bound, shift) gives the integer
+    coefficient lists of (1 - sigma^shift)(H^e) for e = 0..deg_bound.
+
+    The column of H^e is the negated list of (H - shift)^e below H^e, since
+    the H^e terms cancel.  Pascal's rule builds it from the column before in
+    O(e): -(H - shift)^(e+1) = (H - shift) * -(H - shift)^e.  A request
+    extends the shift's table only as far as it needs and returns a slice of
+    it; the columns are shared, so callers must not modify them.
+    """
+    by_shift = {}
+
+    def table(deg_bound, shift):
+        columns = by_shift.setdefault(shift, [[]])
+        while len(columns) <= deg_bound:
+            prev = columns[-1] + [-1]  # -(H - shift)^e with its leading term
+            columns.append([-shift * prev[0]] + [a - shift * b for a, b in zip(prev, prev[1:])])
+        return columns[:deg_bound + 1]
+
+    return table
 
 
-def _solve_blocks(blocks):
+def _solve_blocks(blocks, table):
     """Solve sum over blocks (1 - sigma^shift)(f) = 1 for f of degree <= deg_bound.
 
-    blocks is a list of (deg_bound, shift); the unknowns are the coefficients
-    of H^0..H^deg_bound of each block's f, block after block.  Returns None
+    blocks is a list of (deg_bound, shift), and table a _column_table();
+    the unknowns are the coefficients of H^0..H^deg_bound of each block's
+    f, block after block.  Returns None
     when the system is inconsistent, else (den, particular, kernel): den > 0
     and integer vectors such that the solutions are exactly
     (particular + sum_k t_k * kernel_k) / den over rational t_k.
@@ -215,7 +231,7 @@ def _solve_blocks(blocks):
     and den * U^-1 applied to the right-hand side and to each free column
     comes out of integer back-substitution with exact division.
     """
-    columns = [c for deg_bound, shift in blocks for c in _delta_columns(deg_bound, shift)]
+    columns = [c for deg_bound, shift in blocks for c in table(deg_bound, shift)]
     size = max(len(c) for c in columns)
     if not size:
         return None  # every column is empty: the system reads 0 = 1
@@ -336,10 +352,10 @@ class SweepReport:
         return [c for c in self.cells if c.status == "solutions"]
 
 
-def _cell_pair_system(p, q, deg_a, deg_b, pattern):
+def _cell_pair_system(table, p, q, deg_a, deg_b, pattern):
     """Cell for: exists a (exact degree deg_a), b (exact degree deg_b) with
     (1 - sigma^-p)(a) + (1 - sigma^-q)(b) = 1."""
-    solved = _solve_blocks([(deg_a, -p), (deg_b, -q)])
+    solved = _solve_blocks([(deg_a, -p), (deg_b, -q)], table)
     detail = f"(1-s^-{p})(a) + (1-s^-{q})(b) = 1, deg a = {deg_a}, deg b = {deg_b}"
     if solved is None:
         return SweepCell(pattern, p, q, deg_a, deg_b, "empty", detail + "; system inconsistent")
@@ -363,12 +379,12 @@ def _cell_pair_system(p, q, deg_a, deg_b, pattern):
     return SweepCell(pattern, p, q, deg_a, deg_b, "solutions", detail + "; witness verified", witness)
 
 
-def _cell_single_system(p, q, deg_a, deg_b, pattern, extra=""):
+def _cell_single_system(table, p, q, deg_a, deg_b, pattern, extra=""):
     """Cell for: exists alpha (deg deg_a), beta (deg deg_b) with
     [alpha X^p, beta Y^p] = 1, relaxed to gamma = alpha sigma^p(beta) (p,-p)
     of exact degree deg_a + deg_b + p with (1 - sigma^-p)(gamma) = 1."""
     big = deg_a + deg_b + p
-    solved = _solve_blocks([(big, -p)])
+    solved = _solve_blocks([(big, -p)], table)
     detail = (
         f"[a X^{p}, b Y^{p}] = 1 via (1-s^-{p})(gamma) = 1, "
         f"deg gamma = {deg_a} + {deg_b} + {p}{extra}"
@@ -445,16 +461,16 @@ def _case_v_cells(bounds, pattern):
     return specs
 
 
-def _run_cell(spec):
+def _run_cell(spec, table):
     kind = spec[0]
     if kind == "mismatch":
         _, pattern, p, q, reason = spec
         return _mismatch_cell(pattern, p, q, reason)
     if kind == "single":
         _, pattern, p, q, deg_a, deg_b, extra = spec
-        return _cell_single_system(p, q, deg_a, deg_b, pattern, extra)
+        return _cell_single_system(table, p, q, deg_a, deg_b, pattern, extra)
     _, pattern, p, q, deg_a, deg_b = spec
-    return _cell_pair_system(p, q, deg_a, deg_b, pattern)
+    return _cell_pair_system(table, p, q, deg_a, deg_b, pattern)
 
 
 def impossibility_sweep(pattern: str, bounds: dict, cap: int = 16) -> SweepReport:
@@ -468,7 +484,7 @@ def impossibility_sweep(pattern: str, bounds: dict, cap: int = 16) -> SweepRepor
     for key in ("p", "q", "max_coeff_deg"):
         if key not in bounds:
             raise DomainError(f"bounds must include {key!r}")
-        if not isinstance(bounds[key], int) or bounds[key] < 0:
+        if type(bounds[key]) is not int or bounds[key] < 0:
             raise DomainError(f"bound {key!r} must be a nonnegative integer")
         if bounds[key] > cap:
             raise DomainError(f"bound {key!r} = {bounds[key]} exceeds the cap {cap}")
@@ -480,5 +496,6 @@ def impossibility_sweep(pattern: str, bounds: dict, cap: int = 16) -> SweepRepor
         specs = _case_iii_cells(bounds, pattern)
     else:
         specs = _case_v_cells(bounds, pattern)
-    cells = tuple(_run_cell(s) for s in specs)
+    table = _column_table()  # shared by the cells of this sweep only
+    cells = tuple(_run_cell(s, table) for s in specs)
     return SweepReport(pattern=pattern, bounds=dict(bounds), cells=cells)

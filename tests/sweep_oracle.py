@@ -5,16 +5,18 @@ back-substitution in ``fractions.Fraction``; it returns the solutions over Q
 directly, without a common denominator.  ``bareiss_solve`` is fraction-free
 Gauss-Jordan elimination on any integer system, returning the solutions
 over one common denominator; ``system_rows`` builds the dense rows of a
-sweep block system for it.  The tests check ``bareiss_solve`` against
+sweep block system for it, from columns that ``delta_columns`` gets by one
+Taylor shift per column.  The tests check ``bareiss_solve`` against
 ``solve_exact`` on random systems, and the sweep's structured solver
 :func:`weylalg.certify._solve_blocks`, which reads its pivots off the block
-shape, against ``bareiss_solve`` on the block systems.
+shape and its columns off a Pascal's-rule table, against ``bareiss_solve``
+on the block systems.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from weylalg.certify import _delta_columns
+from weylalg.polynomials import _taylor_shift
 
 
 def solve_exact(rows, rhs):
@@ -129,11 +131,21 @@ def bareiss_solve(rows, rhs):
     return sign * prev, particular, kernel
 
 
+def delta_columns(deg_bound, shift):
+    """Integer coefficient lists of (1 - sigma^shift)(H^e) for e = 0..deg_bound."""
+    columns = []
+    for e in range(deg_bound + 1):
+        shifted = [0] * e + [1]
+        _taylor_shift(shifted, -shift)  # H^e -> (H - shift)^e, as Poly.sigma does
+        columns.append([-c for c in shifted[:e]])  # the H^e terms cancel
+    return columns
+
+
 def system_rows(blocks):
     """Integer rows and rhs of sum_blocks (1 - sigma^shift)(block poly) = 1."""
     columns = []
     for deg_bound, shift in blocks:
-        columns.extend(_delta_columns(deg_bound, shift))
+        columns.extend(delta_columns(deg_bound, shift))
     size = max([1] + [len(c) for c in columns])
     rows = [[c[exp] if exp < len(c) else 0 for c in columns] for exp in range(size)]
     rhs = [1] + [0] * (size - 1)

@@ -23,7 +23,7 @@ from weylalg import (
     random_tame,
     structure_constant,
 )
-from weylalg.certify import _delta_columns, _solve_blocks
+from weylalg.certify import _column_table, _solve_blocks
 from weylalg.polynomials import delta_op
 from weylalg.weyl import ONE, X, Y
 
@@ -207,9 +207,25 @@ class TestSweep:
         with pytest.raises(DomainError):
             impossibility_sweep("case-ix", {"p": 2, "q": 2, "max_coeff_deg": 2})
 
+    @pytest.mark.parametrize("key", ["p", "q", "max_coeff_deg"])
+    @pytest.mark.parametrize("value", [True, False, 2.0])
+    def test_bounds_must_be_integers(self, key, value):
+        bounds = {"p": 2, "q": 2, "max_coeff_deg": 2, key: value}
+        with pytest.raises(DomainError, match=f"bound '{key}' must be a nonnegative integer"):
+            impossibility_sweep("case-ii", bounds)
+
     def test_worker_env_does_not_change_output(self):
         bounds = {"p": 2, "q": 2, "max_coeff_deg": 2}
         assert impossibility_sweep("case-ii", bounds) == impossibility_sweep("case-ii", bounds)
+
+    def test_cap_sweep_leaves_no_state(self):
+        # each sweep builds its own column table, so a cap-size sweep that
+        # fills the tables of every shift cannot change a later small one
+        small = {"p": 4, "q": 4, "max_coeff_deg": 3}
+        patterns = ("case-ii", "case-iii", "case-v")
+        alone = [impossibility_sweep(pattern, small).to_json() for pattern in patterns]
+        impossibility_sweep("case-ii", {"p": 16, "q": 16, "max_coeff_deg": 16})
+        assert [impossibility_sweep(pattern, small).to_json() for pattern in patterns] == alone
 
 
 entries = st.integers(-5, 5)
@@ -275,14 +291,26 @@ class TestSolver:
         assert [F(v, den) for v in particular] == [1, 0, 0]
         assert [[F(v, den) for v in vec] for vec in kernel] == [[-2, 1, 0], [-3, 0, 1]]
 
-    @pytest.mark.parametrize("shift", [s for k in range(1, 8) for s in (k, -k)])
+    @pytest.mark.parametrize("shift", [s for k in range(1, 17) for s in (k, -k)])
     def test_delta_columns_match_delta_op(self, shift):
-        for deg_bound in range(13):
-            columns = _delta_columns(deg_bound, shift)
-            assert len(columns) == deg_bound + 1
-            for e, column in enumerate(columns):
-                assert len(column) == e  # the degree drops by exactly one
-                assert all(type(c) is int for c in column)
+        # 48 = 16 + 16 + 16 is the largest block a sweep under the default cap builds
+        expected = []
+        for e in range(49):
+            coeffs = dict(delta_op(Poly(((e, 1),)), shift).terms)
+            expected.append([coeffs.get(j, 0) for j in range(e)])  # the degree drops by one
+        # one table extended step by step and then read back, and one built at once
+        for table, order in ((_column_table(), [*range(25), *range(48, -1, -1)]),
+                             (_column_table(), range(48, -1, -1))):
+            for deg_bound in order:
+                columns = table(deg_bound, shift)
+                assert columns == expected[:deg_bound + 1]
+                assert all(type(c) is int for column in columns for c in column)
+        assert table(3, shift)[2] is table(10, shift)[2]  # slices share the columns
+
+    def test_table_keeps_shifts_apart(self):
+        table = _column_table()
+        for shift in (2, -2, 3, 2, -3, -2):
+            for e, column in enumerate(table(9, shift)):
                 assert Poly(enumerate(column)) == delta_op(Poly(((e, 1),)), shift)
 
 
@@ -290,48 +318,52 @@ class TestBlockSolver:
     """The sweep's structured solver against Bareiss on the dense rows."""
 
     def test_single_blocks_match_bareiss(self):
+        table = _column_table()
         for big in range(25):
             for p in range(1, 17):
                 blocks = [(big, -p)]
-                assert _solve_blocks(blocks) == bareiss_solve(*system_rows(blocks)), blocks
+                assert _solve_blocks(blocks, table) == bareiss_solve(*system_rows(blocks)), blocks
 
     @pytest.mark.parametrize("p", range(1, 11))
     def test_sweep_blocks_match_bareiss(self, p):
         # case-ii/iii: one block of degree deg_a + deg_b + p
+        table = _column_table()
         for big in range(p, p + 25):
             blocks = [(big, -p)]
-            assert _solve_blocks(blocks) == bareiss_solve(*system_rows(blocks)), blocks
+            assert _solve_blocks(blocks, table) == bareiss_solve(*system_rows(blocks)), blocks
         # case-v: two blocks side by side
         for q in range(p, 11):
             for deg_a in range(13):
                 for deg_b in range(13):
                     blocks = [(deg_a, -p), (deg_b, -q)]
-                    assert _solve_blocks(blocks) == bareiss_solve(*system_rows(blocks)), blocks
+                    assert _solve_blocks(blocks, table) == bareiss_solve(*system_rows(blocks)), blocks
 
     def test_den_is_the_pivot_product(self):
         # the pivot of H^e under 1 - sigma^-p is -e*p, so |det U| has a closed form
+        table = _column_table()
         for p in range(1, 8):
             for big in range(1, 13):
-                assert _solve_blocks([(big, -p)])[0] == factorial(big) * p**big
+                assert _solve_blocks([(big, -p)], table)[0] == factorial(big) * p**big
             for q in range(1, 8):
                 for deg_a in range(10):
                     for deg_b in range(max(deg_a, 1), 10):
-                        den = _solve_blocks([(deg_a, -p), (deg_b, -q)])[0]
+                        den = _solve_blocks([(deg_a, -p), (deg_b, -q)], table)[0]
                         assert den == factorial(deg_b) * p**deg_a * q ** (deg_b - deg_a)
 
     def test_all_empty_columns_are_inconsistent(self):
-        assert _solve_blocks([(0, -3)]) is None
-        assert _solve_blocks([(0, -2), (0, -5)]) is None
+        assert _solve_blocks([(0, -3)], _column_table()) is None
+        assert _solve_blocks([(0, -2), (0, -5)], _column_table()) is None
         assert bareiss_solve(*system_rows([(0, -3)])) is None
 
     def test_zero_shift_is_an_internal_defect(self):
         # sigma^0 is the identity, so every column is zero and no pivot exists
         with pytest.raises(RuntimeError, match="zero pivot"):
-            _solve_blocks([(3, 0)])
+            _solve_blocks([(3, 0)], _column_table())
 
     def test_solutions_satisfy_the_balance(self):
+        table = _column_table()
         for p, q, deg_a, deg_b in ((2, 3, 2, 5), (3, 3, 4, 4), (1, 4, 0, 3)):
-            den, particular, kernel = _solve_blocks([(deg_a, -p), (deg_b, -q)])
+            den, particular, kernel = _solve_blocks([(deg_a, -p), (deg_b, -q)], table)
             for vec in [particular] + [[x + v for x, v in zip(particular, k)] for k in kernel]:
                 a = Poly(enumerate(F(v, den) for v in vec[:deg_a + 1]))
                 b = Poly(enumerate(F(v, den) for v in vec[deg_a + 1:]))
