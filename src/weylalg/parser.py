@@ -14,10 +14,16 @@ MAX_EXPONENT, and integer literals have at most sys.get_int_max_str_digits()
 digits (Python's int-to-str limit, 4300 by default); text beyond any of
 these limits raises ParseError.
 
-normalize() evaluates a tree to graded normal form with WeylElement
-arithmetic: symbols and literals become elements, and Sum, Neg, Product and
-Power map onto +, unary -, * and **.  The printers give the canonical text
-form, which parses back to the same element.
+normalize() evaluates a tree bottom-up and keeps each subtree's value in the
+smallest of Q, Q[H] and the Weyl algebra that holds it: literals are
+Fractions, H is a Poly, and a value becomes a WeylElement only once X or Y
+appears.  Q[H] is the commutative degree-0 part, so sums, products and powers
+there need no shift.  A power of one letter has a closed form (X^e = v_e,
+Y^e = v_-e, H^e the monomial), and a degree-0 factor on the left of an
+element multiplies its components; only a product whose left factor is an
+element goes through WeylElement multiplication.  The value is lifted to a
+WeylElement once, at the end.  The printers give the canonical text form,
+which parses back to the same element.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import ParseError
-from .polynomials import Poly
-from .weyl import H, X, Y, WeylElement
+from .polynomials import Poly, poly_from_int_coeffs
+from .weyl import X, Y, WeylElement
 
 MAX_EXPONENT = 10_000
 # deepest parenthesis nesting accepted; parsing and evaluation recurse on it
@@ -210,21 +216,44 @@ def parse(text: str):
 # evaluation to normal form
 # ----------------------------------------------------------------------
 
-_ATOMS = {"X": X, "Y": Y, "H": H}
+_LETTERS = {"X": X, "Y": Y, "H": Poly.gen()}
 
 
-def _evaluate(expr) -> WeylElement:
+def _letter_power(name: str, e: int):
+    """X^e = v_e, Y^e = v_(-e), H^e the monomial; 1 for e = 0."""
+    if not e:
+        return Fraction(1)
+    if name == "H":
+        return poly_from_int_coeffs([0] * e + [1])
+    return WeylElement({e if name == "X" else -e: 1})
+
+
+def _times(a, b):
+    """a*b for values that are each a Fraction, a Poly or a WeylElement."""
+    if isinstance(a, WeylElement) or not isinstance(b, WeylElement):
+        # Q[H] is commutative; an element times a scalar or a Poly is the
+        # graded product, which passes H-coefficients through the shift
+        return a * b
+    # a degree-0 factor on the left needs no shift: f * sum g_j v_j = sum (f g_j) v_j
+    return WeylElement({j: a * g for j, g in b.components()})
+
+
+def _evaluate(expr):
+    """The value of a tree in the smallest of Q, Q[H], A_1 that holds it:
+    a Fraction, a Poly or a WeylElement."""
     if isinstance(expr, Sym):
-        return _ATOMS[expr.name]
+        return _LETTERS[expr.name]
     if isinstance(expr, Lit):
-        return WeylElement({0: expr.value})
+        return expr.value
     if isinstance(expr, Neg):
         return -_evaluate(expr.arg)
     if isinstance(expr, Sum):
         return reduce(operator.add, map(_evaluate, expr.terms))
     if isinstance(expr, Product):
-        return reduce(operator.mul, map(_evaluate, expr.factors))
+        return reduce(_times, map(_evaluate, expr.factors))
     if isinstance(expr, Power):
+        if isinstance(expr.base, Sym):
+            return _letter_power(expr.base.name, expr.exponent)
         return _evaluate(expr.base) ** expr.exponent
     raise TypeError(f"not a free expression node: {type(expr).__name__}")
 
@@ -233,7 +262,8 @@ def normalize(expr) -> WeylElement:
     """Evaluate a free expression tree to graded normal form."""
     # the recursion stays in _evaluate, so a wrapper around normalize
     # (such as a tracing span) sees one call per tree
-    return _evaluate(expr)
+    value = _evaluate(expr)
+    return value if isinstance(value, WeylElement) else WeylElement({0: value})
 
 
 def normalize_text(text: str) -> WeylElement:

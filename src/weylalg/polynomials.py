@@ -364,6 +364,9 @@ class Poly:
         return self._c == other._c and self._den == other._den
 
     def __hash__(self):
+        # a constant equals its Fraction, so it must hash as one
+        if len(self._c) <= 1:
+            return hash(self.coeff(0))
         return hash((self._c, self._den))
 
     def __bool__(self):
@@ -584,6 +587,9 @@ class RatFunc:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # a polynomial equals its numerator, so it must hash as one
+        if self.is_polynomial():
+            return hash(self.num)
         return hash(("RatFunc", self.num, self.den))
 
     def __bool__(self):

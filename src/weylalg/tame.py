@@ -44,6 +44,8 @@ class PhiX:
     lam: Fraction
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise DomainError(f"PhiX requires an integer n, got {self.n!r}")
         if self.n < 1:
             raise DomainError("PhiX requires n >= 1")
         object.__setattr__(self, "lam", _as_fraction(self.lam))
@@ -64,6 +66,8 @@ class PhiY:
     lam: Fraction
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise DomainError(f"PhiY requires an integer n, got {self.n!r}")
         if self.n < 1:
             raise DomainError("PhiY requires n >= 1")
         object.__setattr__(self, "lam", _as_fraction(self.lam))

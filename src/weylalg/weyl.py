@@ -82,7 +82,7 @@ class GradedElement:
             components = components.items()
         comp = {}
         for degree, coeff in components:
-            if not isinstance(degree, int):
+            if type(degree) is not int:
                 raise TypeError("graded degrees must be integers")
             c = self._coerce(coeff)
             if degree in comp:
@@ -197,7 +197,15 @@ class GradedElement:
         return a._comp == b._comp
 
     def __hash__(self):
-        return hash((type(self).__name__, tuple(sorted(self._comp.items()))))
+        # equal values hash alike: zero and degree-0 elements as their
+        # coefficient (a scalar or Poly equals them), and Weyl and B forms of
+        # one element by the same (degree, coefficient) pairs
+        comp = self._comp
+        if not comp:
+            return hash(0)
+        if len(comp) == 1 and 0 in comp:
+            return hash(comp[0])
+        return hash(tuple(sorted(comp.items())))
 
     def __bool__(self):
         return bool(self._comp)
@@ -328,6 +336,8 @@ class HomogeneousElement:
     coeff: RatFunc
 
     def __post_init__(self):
+        if type(self.degree) is not int:
+            raise DomainError(f"homogeneous degree must be an integer, got {self.degree!r}")
         if self.coeff.is_zero():
             raise DomainError("homogeneous elements are nonzero by definition")
 

@@ -83,6 +83,21 @@ FACTOR_ONCE = [
     "((H - 1/2)*(H + 3/2))^3*Y^6",
 ]
 
+# values that stay in Q or Q[H] before a letter appears, zeroth powers, and
+# degree-0 factors on either side of a letter
+SMALL_RING = [
+    "3",
+    "0^0",
+    "H^0*X",
+    "(X*Y)^0",
+    "(1/2)^3*H^2*Y^2",
+    "X*(H+1)",
+    "(H+1)*X",
+    "((H)^2)^3 - H^6",
+    "H*X*H*Y",
+    "X^200*Y^200",
+]
+
 CERTIFY = [
     ("Y", "X"),
     ("2*Y + X^3 + 1", "1/2*X"),
@@ -123,6 +138,9 @@ def golden_calls():
     for expr in FACTOR_ONCE:
         calls.append(["centralizer", expr])
         calls.append(["centralizer", expr, "--json"])
+    for expr in SMALL_RING:
+        calls.append(["normalize", expr])
+        calls.append(["normalize", expr, "--json"])
     return calls
 
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylalg import (
     ParseError,
@@ -69,7 +70,55 @@ class TestParse:
             parse("X Y")
 
 
+# small free trees over every node kind: literals (zero included), the three
+# letters, and powers with exponents 0..3 of letters and of compound bases
+_leaves = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=3).map(Lit),
+    st.sampled_from([Sym("X"), Sym("Y"), Sym("H")]),
+)
+
+
+def _nodes(children):
+    lists = st.lists(children, min_size=2, max_size=3).map(tuple)
+    return st.one_of(
+        children.map(Neg),
+        lists.map(Sum),
+        lists.map(Product),
+        st.builds(Power, children, st.integers(0, 3)),
+    )
+
+
+free_trees = st.recursive(_leaves, _nodes, max_leaves=8)
+
+
 class TestNormalize:
+    @given(free_trees)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_letter_rewriting(self, tree):
+        value = normalize(tree)
+        assert isinstance(value, WeylElement)
+        assert value == rewrite_normalize(tree, "left")
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("0^0", ONE),
+            ("H^0", ONE),
+            ("(X*Y)^0", ONE),
+            ("0*X", WeylElement()),
+            ("(H+1)*X", WeylElement({1: Hp + 1})),
+            ("X*(H+1)", WeylElement({1: Hp})),
+            ("2*3*X", WeylElement({1: 6})),
+            ("X*2*Y", WeylElement({0: 2 * Hp - 2})),
+            # X^3 Y^5 = (3, -5) v_-2 = (H - 3)(H - 2)(H - 1) Y^2
+            ("-(H^2-1)*X^3*Y^5", WeylElement({-2: -(Hp**2 - 1) * (Hp - 3) * (Hp - 2) * (Hp - 1)})),
+        ],
+    )
+    def test_degree_zero_values(self, text, expected):
+        value = normalize_text(text)
+        assert isinstance(value, WeylElement)
+        assert value == expected == rewrite_normalize_text(text)
+
     def test_defining_relations(self):
         assert normalize_text("Y*X") == H
         assert normalize_text("X*Y") == WeylElement({0: Hp - 1})

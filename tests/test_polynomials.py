@@ -43,6 +43,11 @@ class TestPoly:
         assert (-H + 1).format() == "-H + 1"
         assert Poly.zero().format() == "0"
 
+    def test_equal_values_hash_alike(self):
+        for c in (0, 3, F(-1, 2)):
+            assert Poly.constant(c) == c and hash(Poly.constant(c)) == hash(c)
+        assert len({Poly.constant(3), 3, F(3)}) == 1
+
 
 def value_at(coeffs, x):
     """A polynomial's value from ascending coefficients, with no Poly arithmetic."""
@@ -221,6 +226,12 @@ class TestRatFunc:
                     assert poly_gcd(h.num, h.den) == Poly.one()
                 else:
                     assert h.den == Poly.one()
+
+    def test_equal_values_hash_alike(self):
+        for value in (H, H**2 - F(1, 3), Poly.constant(3), Poly.zero()):
+            assert RatFunc(value) == value and hash(RatFunc(value)) == hash(value)
+        assert RatFunc(2 * H, 2) == H and hash(RatFunc(2 * H, 2)) == hash(H)
+        assert len({RatFunc(Poly.constant(3)), 3}) == 1
 
     def test_sigma_on_ratfunc(self):
         h = RatFunc(H, H + 1)

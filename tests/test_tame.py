@@ -60,6 +60,14 @@ class TestGenerators:
         with pytest.raises(DomainError):
             Torus(F(0))
 
+    def test_degrees_must_be_integers(self):
+        # a bool degree would print X^True and write "n": true, which
+        # AutoWord.from_json rejects
+        for gen in (PhiX, PhiY):
+            for n in (True, 2.0):
+                with pytest.raises(DomainError, match="requires an integer n"):
+                    gen(n, F(1))
+
     def test_composite_example(self):
         w = word(PhiX(2, F(1)), Torus(F(2)))
         img_h = apply_auto(w, H)

@@ -6,6 +6,7 @@ import pytest
 from weylalg import (
     NEG_INF,
     BElement,
+    DomainError,
     HomogeneousElement,
     Poly,
     RatFunc,
@@ -257,6 +258,33 @@ class TestElementBasics:
         a = normalize_text("Y*X")
         assert a == H
         assert hash(a) == hash(H)
+        # equal values hash alike across scalars, Poly, RatFunc and both classes
+        pairs = [
+            (ONE, 1),
+            (ONE, Poly.one()),
+            (ZERO, 0),
+            (ZERO, F(0)),
+            (H, Hp),
+            (H, RatFunc(Hp)),
+            (H.to_b(), Hp),
+            (WeylElement({0: F(1, 2)}), F(1, 2)),
+            (X, X.to_b()),
+            (X + Y * Hp - 2, (X + Y * Hp - 2).to_b()),
+            (BElement({0: RatFunc(Hp, Hp + 1)}), RatFunc(Hp, Hp + 1)),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b), (a, b)
+        assert len({ONE, 1}) == 1
+        assert len({X, X.to_b(), Y}) == 2
+
+    def test_degrees_must_be_integers(self):
+        for degree in (True, False, 2.0):
+            with pytest.raises(TypeError, match="graded degrees must be integers"):
+                WeylElement({degree: 1})
+            with pytest.raises(TypeError, match="graded degrees must be integers"):
+                BElement([(degree, 1)])
+            with pytest.raises(DomainError, match="homogeneous degree must be an integer"):
+                HomogeneousElement(degree, RatFunc(Hp))
 
     def test_pow(self):
         assert X**3 == WeylElement({3: 1})
