@@ -9,7 +9,10 @@ Generators and their action on (X, Y):
     Xi                (X, Y) -> (Y, -X)
 
 A word applies its generators left to right: the first entry acts first.
-Applying a word to an element substitutes the images of X and Y and
+Its images of X and Y are composed right to left: starting from (X, Y), each
+generator, last entry first, replaces the pair (p, q) by its own images
+evaluated at (p, q), so a generator costs at most two graded products.
+Applying the word to an element then substitutes the two images once and
 re-normalizes, which preserves commutators because every generator's images
 again satisfy the defining relation.
 """
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .polynomials import Poly, _as_fraction, _json_list, rat_format, rat_from_json, rat_to_str
-from .weyl import WeylElement, X, Y, commutator, xi_apply
+from .weyl import WeylElement, X, Y
 
 __all__ = [
     "PhiX",
@@ -50,8 +53,11 @@ class PhiX:
             raise DomainError("PhiX requires n >= 1")
         object.__setattr__(self, "lam", _as_fraction(self.lam))
 
+    def _compose(self, p, q):
+        return p, q + p**self.n * self.lam
+
     def images(self):
-        return X, Y + WeylElement({self.n: self.lam})
+        return self._compose(X, Y)
 
     def inverse_word(self):
         return (PhiX(self.n, -self.lam),)
@@ -72,8 +78,11 @@ class PhiY:
             raise DomainError("PhiY requires n >= 1")
         object.__setattr__(self, "lam", _as_fraction(self.lam))
 
+    def _compose(self, p, q):
+        return p + q**self.n * self.lam, q
+
     def images(self):
-        return X + WeylElement({-self.n: self.lam}), Y
+        return self._compose(X, Y)
 
     def inverse_word(self):
         return (PhiY(self.n, -self.lam),)
@@ -92,8 +101,11 @@ class Torus:
             raise DomainError("Torus requires a nonzero scalar")
         object.__setattr__(self, "mu", mu)
 
+    def _compose(self, p, q):
+        return p * self.mu, q * (1 / self.mu)
+
     def images(self):
-        return X * self.mu, Y * (1 / self.mu)
+        return self._compose(X, Y)
 
     def inverse_word(self):
         return (Torus(1 / self.mu),)
@@ -111,8 +123,11 @@ class Translate:
         object.__setattr__(self, "c", _as_fraction(self.c))
         object.__setattr__(self, "d", _as_fraction(self.d))
 
+    def _compose(self, p, q):
+        return p + self.c, q + self.d
+
     def images(self):
-        return X + self.c, Y + self.d
+        return self._compose(X, Y)
 
     def inverse_word(self):
         return (Translate(-self.c, -self.d),)
@@ -123,8 +138,11 @@ class Translate:
 
 @dataclass(frozen=True)
 class Xi:
+    def _compose(self, p, q):
+        return q, -p
+
     def images(self):
-        return Y, -X
+        return self._compose(X, Y)
 
     def inverse_word(self):
         # Xi^4 = id and Xi^2 = Torus(-1), so Xi^-1 = Torus(-1) then Xi
@@ -133,6 +151,8 @@ class Xi:
     def to_json(self):
         return {"gen": "Xi"}
 
+
+_GENERATORS = (PhiX, PhiY, Torus, Translate, Xi)
 
 # generator kind -> (class, JSON fields in constructor order)
 _GEN_JSON = {
@@ -170,7 +190,11 @@ class AutoWord:
     gens: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "gens", tuple(self.gens))
+        gens = tuple(self.gens)
+        for gen in gens:
+            if not isinstance(gen, _GENERATORS):
+                raise DomainError(f"word entry {gen!r} is not a generator")
+        object.__setattr__(self, "gens", gens)
 
     def __len__(self):
         return len(self.gens)
@@ -210,7 +234,7 @@ class AutoWord:
 
 def _evaluate(a: WeylElement, image_x: WeylElement, image_y: WeylElement) -> WeylElement:
     """Substitute images for X and Y into the normal form of a."""
-    h_image = image_y * image_x
+    h_image = None
     result = WeylElement()
     pow_cache: dict[int, WeylElement] = {}
 
@@ -221,43 +245,39 @@ def _evaluate(a: WeylElement, image_x: WeylElement, image_y: WeylElement) -> Wey
         return pow_cache[i]
 
     for i, f in a.components():
-        # Horner evaluation of f at the image of H
-        acc = WeylElement()
-        last = None
-        for e, c in reversed(f.terms):
-            if last is None:
-                acc = WeylElement({0: c})
-            else:
-                for _ in range(last - e):
-                    acc = acc * h_image
-                acc = acc + c
-            last = e
-        if last is not None and last > 0:
-            for _ in range(last):
+        if not f.degree:
+            # a scalar coefficient multiplies each component of the image
+            result = result + vpow(i) * f.lc
+            continue
+        if h_image is None:
+            h_image = image_y * image_x
+        # Horner evaluation of f at the image of H, from the top coefficient down
+        *lower, (last, top) = f.terms
+        acc = WeylElement({0: top})
+        for e, c in reversed(lower):
+            for _ in range(last - e):
                 acc = acc * h_image
+            acc = acc + c
+            last = e
+        for _ in range(last):
+            acc = acc * h_image
         term = acc if i == 0 else acc * vpow(i)
         result = result + term
     return result
 
 
-def _apply_gen(gen, a: WeylElement) -> WeylElement:
-    if isinstance(gen, Torus):
-        return WeylElement({i: f * gen.mu**i for i, f in a.components()})
-    if isinstance(gen, Xi):
-        return xi_apply(a)
-    image_x, image_y = gen.images()
-    return _evaluate(a, image_x, image_y)
-
-
 def apply_auto(word: AutoWord, a: WeylElement) -> WeylElement:
-    for gen in word.gens:
-        a = _apply_gen(gen, a)
-    return a
+    if not isinstance(a, WeylElement):
+        raise TypeError(f"apply_auto acts on a WeylElement, got {type(a).__name__}")
+    return _evaluate(a, *auto_images(word))
 
 
 def auto_images(word: AutoWord):
     """(image of X, image of Y) under the whole word."""
-    return apply_auto(word, X), apply_auto(word, Y)
+    p, q = X, Y
+    for gen in reversed(word.gens):
+        p, q = gen._compose(p, q)
+    return p, q
 
 
 def invert_auto(word: AutoWord) -> AutoWord:

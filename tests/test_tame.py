@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from weylalg import (
     AutoWord,
@@ -19,10 +20,12 @@ from weylalg import (
     commutator,
     invert_auto,
     random_tame,
+    total_degree,
     xi_apply,
 )
 from weylalg.weyl import H, ONE, X, Y
 from helpers import random_weyl
+from tame_oracle import apply_sequential
 
 Hp = Poly.gen()
 
@@ -59,6 +62,17 @@ class TestGenerators:
             PhiX(0, F(1))
         with pytest.raises(DomainError):
             Torus(F(0))
+
+    def test_word_entries_must_be_generators(self):
+        for entry in (1, "Xi", Xi, None):
+            with pytest.raises(DomainError, match=f"word entry {entry!r} is not a generator"):
+                AutoWord((Xi(), entry))
+
+    def test_applies_only_to_weyl_elements(self):
+        with pytest.raises(TypeError, match="WeylElement, got int"):
+            apply_auto(word(), 3)
+        with pytest.raises(TypeError, match="WeylElement, got BElement"):
+            apply_auto(word(Xi()), X.to_b())
 
     def test_degrees_must_be_integers(self):
         # a bool degree would print X^True and write "n": true, which
@@ -189,3 +203,47 @@ class TestImages:
         ix, iy = auto_images(w)
         assert ix == X
         assert iy == Y + WeylElement({2: 1})
+
+
+# small rationals, so that the images of a word stay small enough for the
+# one-generator-at-a-time oracle
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+generators = st.one_of(
+    st.builds(PhiX, st.integers(1, 3), rationals),
+    st.builds(PhiY, st.integers(1, 3), rationals),
+    st.builds(Torus, rationals.filter(bool)),
+    st.builds(Translate, rationals, rationals),
+    st.just(Xi()),
+)
+words = st.one_of(
+    st.builds(
+        random_tame,
+        st.integers(0, 10**6),
+        word_len=st.integers(1, 6),
+        max_n=st.integers(1, 3),
+        coeff_height=st.integers(1, 6),
+    ),
+    st.just(word()),
+    generators.map(word),
+)
+coefficients = st.lists(rationals, max_size=3).map(lambda cs: Poly(enumerate(cs)))
+elements = st.dictionaries(st.integers(-3, 3), coefficients, max_size=3).map(WeylElement)
+
+
+class TestAgainstSequentialOracle:
+    """Composing images right to left agrees with applying one generator at a time."""
+
+    @given(words, elements)
+    @settings(max_examples=200, deadline=None)
+    def test_apply_and_images(self, w, a):
+        images = auto_images(w)
+        # a budget on the substituted degree, not on the words drawn: a word
+        # whose images have degree 54 takes seconds to apply to a cubic
+        assume(max(map(total_degree, images)) * max(total_degree(a), 1) <= 200)
+        assert images == (apply_sequential(w, X), apply_sequential(w, Y))
+        assert apply_auto(w, a) == apply_sequential(w, a)
+
+    @given(generators)
+    def test_images_are_the_formula_at_x_and_y(self, gen):
+        expected = apply_sequential(word(gen), X), apply_sequential(word(gen), Y)
+        assert gen.images() == auto_images(word(gen)) == expected
