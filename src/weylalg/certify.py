@@ -12,7 +12,8 @@ one generator at a time:
   * a mass-2 / mass-2 pair has proportional top parts, and subtracting the
     ratio drops one mass, tracked as a PhiY(1, ratio) factor.
 
-Every certificate is re-verified by application before it is returned.
+Every certificate is verified before it is returned: its images of X and
+Y, composed once, must equal (Q, P).
 
 impossibility_sweep encodes the excluded configurations as exact linear
 systems with integer coefficients and reports each cell as empty or
@@ -37,12 +38,10 @@ from operator import mul
 from .errors import DomainError, OutOfScopeError
 from .parser import format_pretty
 from .polynomials import Poly, _poly, delta_op, rat_to_str
-from .tame import AutoWord, PhiX, PhiY, Torus, Translate, Xi, affine_decompose, apply_auto
+from .tame import AutoWord, PhiX, PhiY, Torus, Translate, Xi, affine_decompose, auto_images
 from .weyl import (
     ONE,
     WeylElement,
-    X,
-    Y,
     commutator,
     mass,
     structure_constant,
@@ -166,7 +165,8 @@ def _peel_mass_one(P: WeylElement, Q: WeylElement, depth: int) -> AutoWord:
 
 
 def certify_pair(P: WeylElement, Q: WeylElement) -> AutoWord:
-    """A tame word tau with tau(Y) = P, tau(X) = Q, verified by application.
+    """A tame word tau with tau(Y) = P, tau(X) = Q, verified by composing
+    its images of X and Y once and comparing them with (Q, P).
 
     Raises DomainError when [P, Q] != 1 and OutOfScopeError when the masses
     fall outside the certified hypotheses.
@@ -181,7 +181,7 @@ def certify_pair(P: WeylElement, Q: WeylElement) -> AutoWord:
             "need both <= 2 or one equal to 1"
         )
     word = _reduce(P, Q, 0)
-    if apply_auto(word, Y) != P or apply_auto(word, X) != Q:
+    if auto_images(word) != (Q, P):
         raise _internal("certificate failed the final application check")
     return word
 
@@ -415,62 +415,44 @@ def _cell_single_system(table, p, q, deg_a, deg_b, pattern, extra=""):
     return SweepCell(pattern, p, q, deg_a, deg_b, "solutions", detail + "; solutions exist", witness)
 
 
-def _mismatch_cell(pattern, p, q, reason):
-    return SweepCell(pattern, p, q, None, None, "empty", reason)
-
-
-def _case_ii_cells(bounds, pattern):
-    specs = []
+def _case_ii_cells(pattern, bounds, table):
     max_deg = bounds["max_coeff_deg"]
     for p in range(1, bounds["p"] + 1):
         for q in range(1, bounds["q"] + 1):
             if p != q:
-                specs.append(("mismatch", pattern, p, q,
-                              f"[a X^{p}, b Y^{q}] is concentrated in degree {p - q}, never 1"))
+                reason = f"[a X^{p}, b Y^{q}] is concentrated in degree {p - q}, never 1"
+                yield SweepCell(pattern, p, q, None, None, "empty", reason)
                 continue
             for deg_a in range(max_deg + 1):
                 for deg_b in range(max_deg + 1):
-                    specs.append(("single", pattern, p, q, deg_a, deg_b, ""))
-    return specs
+                    yield _cell_single_system(table, p, q, deg_a, deg_b, pattern)
 
 
-def _case_iii_cells(bounds, pattern):
-    specs = []
+def _case_iii_cells(pattern, bounds, table):
     max_deg = bounds["max_coeff_deg"]
     note = "; from [P, Q_s] = 1 after the graded splitting of [P, Q] = 1"
     for p in range(2, bounds["p"] + 1):
         for deg_a in range(max_deg + 1):
             for deg_b in range(max_deg + 1):
-                specs.append(("single", pattern, p, p, deg_a, deg_b, note))
-    return specs
+                yield _cell_single_system(table, p, p, deg_a, deg_b, pattern, note)
 
 
-def _case_v_cells(bounds, pattern):
-    specs = []
+def _case_v_cells(pattern, bounds, table):
     max_deg = bounds["max_coeff_deg"]
     for p in range(2, bounds["p"] + 1):
         for q in range(p, bounds["q"] + 1):
             if q == p:
                 for d in range(p - 1, p - 1 + max_deg + 1):
-                    specs.append(("pair", pattern, p, q, d, d))
+                    yield _cell_pair_system(table, p, q, d, d, pattern)
                 continue
             for deg_a in range(p - 1, p - 1 + max_deg + 1):
                 for deg_b in range(q - 1, q - 1 + max_deg + 1):
                     if deg_a < deg_b:
-                        specs.append(("pair", pattern, p, q, deg_a, deg_b))
-    return specs
+                        yield _cell_pair_system(table, p, q, deg_a, deg_b, pattern)
 
 
-def _run_cell(spec, table):
-    kind = spec[0]
-    if kind == "mismatch":
-        _, pattern, p, q, reason = spec
-        return _mismatch_cell(pattern, p, q, reason)
-    if kind == "single":
-        _, pattern, p, q, deg_a, deg_b, extra = spec
-        return _cell_single_system(table, p, q, deg_a, deg_b, pattern, extra)
-    _, pattern, p, q, deg_a, deg_b = spec
-    return _cell_pair_system(table, p, q, deg_a, deg_b, pattern)
+# sweep pattern -> its cells, in report order
+_SWEEPS = {"case-ii": _case_ii_cells, "case-iii": _case_iii_cells, "case-v": _case_v_cells}
 
 
 def impossibility_sweep(pattern: str, bounds: dict, cap: int = 16) -> SweepReport:
@@ -479,7 +461,7 @@ def impossibility_sweep(pattern: str, bounds: dict, cap: int = 16) -> SweepRepor
     bounds needs keys p, q, max_coeff_deg.  Cells are independent and run in
     the deterministic cell enumeration order, which is the report order.
     """
-    if pattern not in ("case-ii", "case-iii", "case-v"):
+    if pattern not in _SWEEPS:
         raise DomainError(f"unknown sweep pattern {pattern!r}")
     for key in ("p", "q", "max_coeff_deg"):
         if key not in bounds:
@@ -490,12 +472,6 @@ def impossibility_sweep(pattern: str, bounds: dict, cap: int = 16) -> SweepRepor
             raise DomainError(f"bound {key!r} = {bounds[key]} exceeds the cap {cap}")
     if bounds["p"] < 1 or bounds["q"] < 1:
         raise DomainError("bounds p and q must be at least 1")
-    if pattern == "case-ii":
-        specs = _case_ii_cells(bounds, pattern)
-    elif pattern == "case-iii":
-        specs = _case_iii_cells(bounds, pattern)
-    else:
-        specs = _case_v_cells(bounds, pattern)
     table = _column_table()  # shared by the cells of this sweep only
-    cells = tuple(_run_cell(s, table) for s in specs)
+    cells = tuple(_SWEEPS[pattern](pattern, bounds, table))
     return SweepReport(pattern=pattern, bounds=dict(bounds), cells=cells)

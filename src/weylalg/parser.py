@@ -20,10 +20,10 @@ Fractions, H is a Poly, and a value becomes a WeylElement only once X or Y
 appears.  Q[H] is the commutative degree-0 part, so sums, products and powers
 there need no shift.  A power of one letter has a closed form (X^e = v_e,
 Y^e = v_-e, H^e the monomial), and a degree-0 factor on the left of an
-element multiplies its components; only a product whose left factor is an
-element goes through WeylElement multiplication.  The value is lifted to a
-WeylElement once, at the end.  The printers give the canonical text form,
-which parses back to the same element.
+element multiplies its components (GradedElement.__rmul__); only a product
+whose left factor is an element goes through the graded product.  The value
+is lifted to a WeylElement once, at the end.  The printers give the
+canonical text form, which parses back to the same element.
 """
 
 from __future__ import annotations
@@ -228,16 +228,6 @@ def _letter_power(name: str, e: int):
     return WeylElement({e if name == "X" else -e: 1})
 
 
-def _times(a, b):
-    """a*b for values that are each a Fraction, a Poly or a WeylElement."""
-    if isinstance(a, WeylElement) or not isinstance(b, WeylElement):
-        # Q[H] is commutative; an element times a scalar or a Poly is the
-        # graded product, which passes H-coefficients through the shift
-        return a * b
-    # a degree-0 factor on the left needs no shift: f * sum g_j v_j = sum (f g_j) v_j
-    return WeylElement({j: a * g for j, g in b.components()})
-
-
 def _evaluate(expr):
     """The value of a tree in the smallest of Q, Q[H], A_1 that holds it:
     a Fraction, a Poly or a WeylElement."""
@@ -250,7 +240,7 @@ def _evaluate(expr):
     if isinstance(expr, Sum):
         return reduce(operator.add, map(_evaluate, expr.terms))
     if isinstance(expr, Product):
-        return reduce(_times, map(_evaluate, expr.factors))
+        return reduce(operator.mul, map(_evaluate, expr.factors))
     if isinstance(expr, Power):
         if isinstance(expr.base, Sym):
             return _letter_power(expr.base.name, expr.exponent)

@@ -15,12 +15,21 @@ evaluated at (p, q), so a generator costs at most two graded products.
 Applying the word to an element then substitutes the two images once and
 re-normalizes, which preserves commutators because every generator's images
 again satisfy the defining relation.
+
+Each generator class is the one place that states what that generator is:
+its formula _compose(p, q), its images of X and Y evaluated at the pair
+(p, q); its inverse as a word (inverse_word); its text form (_text); and its
+JSON keys (_keys, one per rational constructor argument, in order).  The
+private base _Generator derives images(), to_json() and the JSON reader from
+these.  PhiX and PhiY share _Triangular instead, which validates n, builds
+the inverse, and writes and reads their JSON keys "n" (an integer) and
+"lambda".  A word's JSON entry names its generator's class in the "gen" key.
 """
 
 from __future__ import annotations
 
 import random as _random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import DomainError
@@ -41,59 +50,85 @@ __all__ = [
 ]
 
 
+def _signed(scalar, body=""):
+    sign = "-" if scalar < 0 else "+"
+    return f" {sign} {rat_format(abs(scalar))}{body}"
+
+
+class _Generator:
+    """images(), to_json() and the JSON reader, derived from the _compose
+    and _keys of the subclass; _keys names the rational constructor
+    arguments in JSON, in order."""
+
+    _keys = ()
+
+    def images(self):
+        return self._compose(X, Y)
+
+    def to_json(self):
+        values = (getattr(self, f.name) for f in fields(self))
+        return {"gen": type(self).__name__, **{k: rat_to_str(v) for k, v in zip(self._keys, values)}}
+
+    @classmethod
+    def _field(cls, item, key):
+        if key not in item:
+            raise DomainError(f"{cls.__name__} entry has no {key!r} field")
+        return item[key]
+
+    @classmethod
+    def _from_json(cls, item):
+        return cls(*(rat_from_json(cls._field(item, k), f"{cls.__name__} field {k!r}") for k in cls._keys))
+
+
 @dataclass(frozen=True)
-class PhiX:
+class _Triangular(_Generator):
+    """PhiX and PhiY: lam times the n-th power of one letter, added to the other."""
+
     n: int
     lam: Fraction
 
     def __post_init__(self):
+        name = type(self).__name__
         if type(self.n) is not int:
-            raise DomainError(f"PhiX requires an integer n, got {self.n!r}")
+            raise DomainError(f"{name} requires an integer n, got {self.n!r}")
         if self.n < 1:
-            raise DomainError("PhiX requires n >= 1")
+            raise DomainError(f"{name} requires n >= 1")
         object.__setattr__(self, "lam", _as_fraction(self.lam))
 
+    def inverse_word(self):
+        return (type(self)(self.n, -self.lam),)
+
+    def to_json(self):
+        return {"gen": type(self).__name__, "n": self.n, "lambda": rat_to_str(self.lam)}
+
+    @classmethod
+    def _from_json(cls, item):
+        n = cls._field(item, "n")
+        if type(n) is not int:
+            raise DomainError(f"{cls.__name__} field 'n' must be an integer, got {n!r}")
+        return cls(n, rat_from_json(cls._field(item, "lambda"), f"{cls.__name__} field 'lambda'"))
+
+
+class PhiX(_Triangular):
     def _compose(self, p, q):
         return p, q + p**self.n * self.lam
 
-    def images(self):
-        return self._compose(X, Y)
-
-    def inverse_word(self):
-        return (PhiX(self.n, -self.lam),)
-
-    def to_json(self):
-        return {"gen": "PhiX", "n": self.n, "lambda": rat_to_str(self.lam)}
+    def _text(self):
+        return f"(X, Y{_signed(self.lam, f'*X^{self.n}')})"
 
 
-@dataclass(frozen=True)
-class PhiY:
-    n: int
-    lam: Fraction
-
-    def __post_init__(self):
-        if type(self.n) is not int:
-            raise DomainError(f"PhiY requires an integer n, got {self.n!r}")
-        if self.n < 1:
-            raise DomainError("PhiY requires n >= 1")
-        object.__setattr__(self, "lam", _as_fraction(self.lam))
-
+class PhiY(_Triangular):
     def _compose(self, p, q):
         return p + q**self.n * self.lam, q
 
-    def images(self):
-        return self._compose(X, Y)
-
-    def inverse_word(self):
-        return (PhiY(self.n, -self.lam),)
-
-    def to_json(self):
-        return {"gen": "PhiY", "n": self.n, "lambda": rat_to_str(self.lam)}
+    def _text(self):
+        return f"(X{_signed(self.lam, f'*Y^{self.n}')}, Y)"
 
 
 @dataclass(frozen=True)
-class Torus:
+class Torus(_Generator):
     mu: Fraction
+    _keys = ("mu",)
 
     def __post_init__(self):
         mu = _as_fraction(self.mu)
@@ -104,20 +139,18 @@ class Torus:
     def _compose(self, p, q):
         return p * self.mu, q * (1 / self.mu)
 
-    def images(self):
-        return self._compose(X, Y)
-
     def inverse_word(self):
         return (Torus(1 / self.mu),)
 
-    def to_json(self):
-        return {"gen": "Torus", "mu": rat_to_str(self.mu)}
+    def _text(self):
+        return f"({rat_format(self.mu)}*X, {rat_format(1 / self.mu)}*Y)"
 
 
 @dataclass(frozen=True)
-class Translate:
+class Translate(_Generator):
     c: Fraction
     d: Fraction
+    _keys = ("c", "d")
 
     def __post_init__(self):
         object.__setattr__(self, "c", _as_fraction(self.c))
@@ -126,61 +159,34 @@ class Translate:
     def _compose(self, p, q):
         return p + self.c, q + self.d
 
-    def images(self):
-        return self._compose(X, Y)
-
     def inverse_word(self):
         return (Translate(-self.c, -self.d),)
 
-    def to_json(self):
-        return {"gen": "Translate", "c": rat_to_str(self.c), "d": rat_to_str(self.d)}
+    def _text(self):
+        return f"(X{_signed(self.c)}, Y{_signed(self.d)})"
 
 
 @dataclass(frozen=True)
-class Xi:
+class Xi(_Generator):
     def _compose(self, p, q):
         return q, -p
-
-    def images(self):
-        return self._compose(X, Y)
 
     def inverse_word(self):
         # Xi^4 = id and Xi^2 = Torus(-1), so Xi^-1 = Torus(-1) then Xi
         return (Torus(Fraction(-1)), Xi())
 
-    def to_json(self):
-        return {"gen": "Xi"}
+    def _text(self):
+        return "(Y, -X)"
 
 
-_GENERATORS = (PhiX, PhiY, Torus, Translate, Xi)
-
-# generator kind -> (class, JSON fields in constructor order)
-_GEN_JSON = {
-    "PhiX": (PhiX, ("n", "lambda")),
-    "PhiY": (PhiY, ("n", "lambda")),
-    "Torus": (Torus, ("mu",)),
-    "Translate": (Translate, ("c", "d")),
-    "Xi": (Xi, ()),
-}
+_KINDS = {cls.__name__: cls for cls in (PhiX, PhiY, Torus, Translate, Xi)}
 
 
 def _gen_from_json(item):
     kind = item.get("gen") if isinstance(item, dict) else None
-    if not isinstance(kind, str) or kind not in _GEN_JSON:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise DomainError(f"word entry {item!r} has no known generator kind")
-    cls, fields = _GEN_JSON[kind]
-    return cls(*(_field_from_json(kind, item, field) for field in fields))
-
-
-def _field_from_json(kind, item, field):
-    if field not in item:
-        raise DomainError(f"{kind} entry has no {field!r} field")
-    value = item[field]
-    if field == "n":
-        if type(value) is not int:
-            raise DomainError(f"{kind} field 'n' must be an integer, got {value!r}")
-        return value
-    return rat_from_json(value, f"{kind} field {field!r}")
+    return _KINDS[kind]._from_json(item)
 
 
 @dataclass(frozen=True)
@@ -192,7 +198,7 @@ class AutoWord:
     def __post_init__(self):
         gens = tuple(self.gens)
         for gen in gens:
-            if not isinstance(gen, _GENERATORS):
+            if not isinstance(gen, _Generator):
                 raise DomainError(f"word entry {gen!r} is not a generator")
         object.__setattr__(self, "gens", gens)
 
@@ -213,23 +219,7 @@ class AutoWord:
         return AutoWord(tuple(_gen_from_json(item) for item in _json_list(obj, "word", "a word")))
 
     def __str__(self):
-        if not self.gens:
-            return "identity"
-
-        def signed(scalar, body=""):
-            sign = "-" if scalar < 0 else "+"
-            return f" {sign} {rat_format(abs(scalar))}{body}"
-
-        return " ; ".join(
-            {
-                "PhiX": lambda g: f"(X, Y{signed(g.lam, f'*X^{g.n}')})",
-                "PhiY": lambda g: f"(X{signed(g.lam, f'*Y^{g.n}')}, Y)",
-                "Torus": lambda g: f"({rat_format(g.mu)}*X, {rat_format(1 / g.mu)}*Y)",
-                "Translate": lambda g: f"(X{signed(g.c)}, Y{signed(g.d)})",
-                "Xi": lambda g: "(Y, -X)",
-            }[type(g).__name__](g)
-            for g in self.gens
-        )
+        return " ; ".join(g._text() for g in self.gens) if self.gens else "identity"
 
 
 def _evaluate(a: WeylElement, image_x: WeylElement, image_y: WeylElement) -> WeylElement:
@@ -301,14 +291,13 @@ def random_tame(seed: int, word_len: int = 4, max_n: int = 3, coeff_height: int 
 
     gens = []
     for _ in range(rng.randint(1, word_len)):
-        kind = rng.choice(("PhiX", "PhiY", "Torus", "Translate", "Xi"))
-        if kind == "PhiX":
-            gens.append(PhiX(rng.randint(1, max_n), rat()))
-        elif kind == "PhiY":
-            gens.append(PhiY(rng.randint(1, max_n), rat()))
-        elif kind == "Torus":
+        # _KINDS keeps its declaration order, so each seed keeps its word
+        kind = rng.choice(tuple(_KINDS.values()))
+        if issubclass(kind, _Triangular):
+            gens.append(kind(rng.randint(1, max_n), rat()))
+        elif kind is Torus:
             gens.append(Torus(rat(nonzero=True)))
-        elif kind == "Translate":
+        elif kind is Translate:
             gens.append(Translate(rat(), rat()))
         else:
             gens.append(Xi())
@@ -351,6 +340,6 @@ def affine_decompose(a, b, c, d, lam, mu) -> AutoWord:
     word = AutoWord(tuple(gens))
     expect_y = WeylElement({-1: a, 1: b, 0: Poly.constant(lam)})
     expect_x = WeylElement({-1: c, 1: d, 0: Poly.constant(mu)})
-    if apply_auto(word, Y) != expect_y or apply_auto(word, X) != expect_x:
+    if auto_images(word) != (expect_x, expect_y):
         raise RuntimeError("affine decomposition failed verification; internal defect")
     return word

@@ -178,9 +178,12 @@ class GradedElement:
         return cls(acc)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Poly, RatFunc)):
-            # scalars and H-coefficients at degree 0 commute past nothing:
-            # multiply on the left through the degree-0 embedding
+        if isinstance(other, (int, Fraction, Poly)):
+            # a degree-0 factor on the left needs no shift:
+            # f * sum g_j v_j = sum (f g_j) v_j
+            return type(self)({j: other * g for j, g in self._comp.items()})
+        if isinstance(other, RatFunc):
+            # a rational coefficient makes the product a BElement
             return self._promote(other) * self
         return NotImplemented
 

@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from sweep_oracle import bareiss_solve, solve_exact as oracle_solve_exact, system_rows
 from weylalg import (
+    AutoWord,
     DomainError,
     OutOfScopeError,
     PhiX,
     Poly,
     Torus,
     WeylElement,
+    Xi,
     apply_auto,
     certify_pair,
     commutator,
@@ -23,6 +25,7 @@ from weylalg import (
     random_tame,
     structure_constant,
 )
+import weylalg.certify as certify_module
 from weylalg.certify import _column_table, _solve_blocks
 from weylalg.polynomials import delta_op
 from weylalg.weyl import ONE, X, Y
@@ -53,6 +56,11 @@ class TestExamples:
         w = assert_certifies(P, Q)
         kinds = {type(g).__name__ for g in w.gens}
         assert {"PhiX", "Torus", "Translate"} <= kinds
+
+    def test_wrong_word_fails_the_final_check(self, monkeypatch):
+        monkeypatch.setattr(certify_module, "_reduce", lambda P, Q, depth: AutoWord((Xi(),)))
+        with pytest.raises(RuntimeError, match="final application check"):
+            certify_pair(Y, X)
 
     def test_wrong_commutator(self):
         with pytest.raises(DomainError, match="commutator is -1"):
@@ -214,7 +222,7 @@ class TestSweep:
         with pytest.raises(DomainError, match=f"bound '{key}' must be a nonnegative integer"):
             impossibility_sweep("case-ii", bounds)
 
-    def test_worker_env_does_not_change_output(self):
+    def test_sweep_is_deterministic(self):
         bounds = {"p": 2, "q": 2, "max_coeff_deg": 2}
         assert impossibility_sweep("case-ii", bounds) == impossibility_sweep("case-ii", bounds)
 

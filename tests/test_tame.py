@@ -23,6 +23,7 @@ from weylalg import (
     total_degree,
     xi_apply,
 )
+import weylalg.tame as tame_module
 from weylalg.weyl import H, ONE, X, Y
 from helpers import random_weyl
 from tame_oracle import apply_sequential
@@ -58,8 +59,10 @@ class TestGenerators:
             assert apply_auto(word(Xi()), a) == xi_apply(a)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="PhiX requires n >= 1"):
             PhiX(0, F(1))
+        with pytest.raises(DomainError, match="PhiY requires n >= 1"):
+            PhiY(0, F(1))
         with pytest.raises(DomainError):
             Torus(F(0))
 
@@ -88,6 +91,37 @@ class TestGenerators:
         # tau(H) = tau(Y) tau(X) and the relation survives
         assert img_h == apply_auto(w, Y) * apply_auto(w, X)
         assert commutator(apply_auto(w, Y), apply_auto(w, X)) == ONE
+
+
+class TestGeneratorForms:
+    """Each kind's text and JSON forms, and its equality and repr."""
+
+    @pytest.mark.parametrize(
+        "gen, text, blob",
+        [
+            (PhiX(2, F(-3, 4)), "(X, Y - 3/4*X^2)", {"gen": "PhiX", "n": 2, "lambda": "-3/4"}),
+            (PhiX(1, F(5)), "(X, Y + 5*X^1)", {"gen": "PhiX", "n": 1, "lambda": "5/1"}),
+            (PhiY(3, F(1, 2)), "(X + 1/2*Y^3, Y)", {"gen": "PhiY", "n": 3, "lambda": "1/2"}),
+            (PhiY(1, F(-2)), "(X - 2*Y^1, Y)", {"gen": "PhiY", "n": 1, "lambda": "-2/1"}),
+            (Torus(F(-2, 3)), "(-2/3*X, -3/2*Y)", {"gen": "Torus", "mu": "-2/3"}),
+            (Torus(F(5)), "(5*X, 1/5*Y)", {"gen": "Torus", "mu": "5/1"}),
+            (Translate(F(-1, 2), F(3)), "(X - 1/2, Y + 3)", {"gen": "Translate", "c": "-1/2", "d": "3/1"}),
+            (Translate(F(0), F(-7, 5)), "(X + 0, Y - 7/5)", {"gen": "Translate", "c": "0/1", "d": "-7/5"}),
+            (Xi(), "(Y, -X)", {"gen": "Xi"}),
+        ],
+    )
+    def test_text_and_json(self, gen, text, blob):
+        assert str(word(gen)) == text
+        assert gen.to_json() == blob
+        assert word(gen).to_json() == {"word": [blob]}
+        assert AutoWord.from_json({"word": [blob]}) == word(gen)
+
+    def test_kinds_stay_apart(self):
+        assert PhiX(1, F(1)) != PhiY(1, F(1))
+        assert repr(PhiY(2, F(-1, 3))) == "PhiY(n=2, lam=Fraction(-1, 3))"
+        assert repr(Translate(F(1), F(0))) == "Translate(c=Fraction(1, 1), d=Fraction(0, 1))"
+        assert repr(Xi()) == "Xi()" and Xi() == Xi()
+        assert str(word()) == "identity"
 
 
 class TestWordAlgebra:
@@ -161,6 +195,11 @@ class TestRandomTame:
 class TestAffineDecompose:
     def test_identity(self):
         assert affine_decompose(1, 0, 0, 1, 0, 0) == word()
+
+    def test_wrong_word_fails_verification(self, monkeypatch):
+        monkeypatch.setattr(tame_module, "_linear_word", lambda a, b, c, d: [Xi()])
+        with pytest.raises(RuntimeError, match="affine decomposition failed verification"):
+            affine_decompose(1, 0, 0, 1, 0, 0)
 
     def test_pure_translation(self):
         assert affine_decompose(1, 0, 0, 1, 5, 7) == word(Translate(F(7), F(5)))

@@ -127,6 +127,21 @@ class TestMul:
             b = random_weyl(rng)
             assert isinstance(a * b, WeylElement)
 
+    def test_degree_zero_factor_on_the_left(self):
+        # f * a multiplies the components of a; it must equal the graded
+        # product with f embedded at degree 0
+        rng = random.Random(57)
+        r = RatFunc(Poly.one(), Hp)
+        for _ in range(30):
+            a = random_weyl(rng)
+            for f in (0, 3, F(-2, 5), random_poly(rng, 3, 5)):
+                assert f * a == WeylElement({0: f}) * a
+                assert isinstance(f * a, WeylElement)
+                assert f * a.to_b() == BElement({0: f}) * a.to_b()
+                assert isinstance(f * a.to_b(), BElement)
+            assert r * a == BElement({0: r}) * a
+            assert isinstance(r * a, BElement)
+
     def test_mixed_promotes_to_b(self):
         a = X + Y
         b = BElement({0: RatFunc(Poly.one(), Hp)})
