@@ -1,12 +1,12 @@
 """Complete factorization over Q for Poly and RatFunc values.
 
 The pipeline is the classical one for Z[x]: Yun squarefree decomposition
-over Q, reduction modulo a good small prime, quadratic Hensel lifting up to
-a Mignotte-style coefficient bound, and subset recombination.  Distinct-degree
-factorization in F_p[x] counts the modular factors for up to three primes;
-the prime with the fewest is split by equal-degree factorization
-(Cantor-Zassenhaus) and lifted.  Everything is exact integer arithmetic; the
-returned bases are monic irreducible polynomials over Q.
+over Q, reduction modulo the first odd prime that keeps the polynomial
+squarefree and its degree, quadratic Hensel lifting up to a Mignotte-style
+coefficient bound, and subset recombination.  The modular factors come from
+distinct-degree factorization in F_p[x], split by equal-degree factorization
+(Cantor-Zassenhaus).  Everything is exact integer arithmetic; the returned
+bases are monic irreducible polynomials over Q.
 
 Integer polynomials are int lists, ascending, as Poly stores them; their
 Z[x] arithmetic comes from polynomials.py, and this module adds F_p[x]
@@ -36,6 +36,7 @@ from .polynomials import (
     clear_denominators,
     poly_from_int_coeffs,
     poly_gcd,
+    rat_to_str,
 )
 
 
@@ -67,7 +68,7 @@ class FactoredPoly:
 
     def to_json(self):
         return {
-            "unit": f"{self.unit.numerator}/{self.unit.denominator}",
+            "unit": rat_to_str(self.unit),
             "factors": [[base.to_json()["poly"], exp] for base, exp in self.factors],
         }
 
@@ -86,10 +87,6 @@ def _poly_key(f: Poly):
 # symmetric reduction of integer polynomials
 # ----------------------------------------------------------------------
 
-def _deg(f):
-    return len(f) - 1
-
-
 def _trunc(f, m):
     """Reduce coefficients to the symmetric range (-m/2, m/2]."""
     half = m // 2
@@ -100,21 +97,6 @@ def _trunc(f, m):
             a -= m
         out.append(a)
     return _strip(out)
-
-
-def _divmod_mod(f, h, m):
-    """Division by monic h with coefficients reduced mod m (symmetric)."""
-    rem = list(f)
-    if _deg(rem) < _deg(h):
-        return [], _trunc(rem, m)
-    quo = [0] * (_deg(rem) - _deg(h) + 1)
-    for shift in range(len(quo) - 1, -1, -1):
-        c = rem[shift + _deg(h)] % m
-        quo[shift] = c
-        if c:
-            for j, b in enumerate(h):
-                rem[shift + j] -= c * b
-    return _trunc(quo, m), _trunc(rem[: _deg(h)], m)
 
 
 # ----------------------------------------------------------------------
@@ -144,17 +126,18 @@ def _gf_divmod(f, g, p):
     if not g:
         raise ZeroDivisionError("division by zero polynomial mod p")
     rem = [a % p for a in f]
-    if _deg(rem) < _deg(g):
+    n = len(g) - 1
+    if len(rem) - 1 < n:
         return [], _strip(rem)
     inv = pow(g[-1], -1, p)
-    quo = [0] * (_deg(rem) - _deg(g) + 1)
+    quo = [0] * (len(rem) - n)
     for shift in range(len(quo) - 1, -1, -1):
-        c = rem[shift + _deg(g)] * inv % p
+        c = rem[shift + n] * inv % p
         quo[shift] = c
         if c:
             for j, b in enumerate(g):
                 rem[shift + j] = (rem[shift + j] - c * b) % p
-    return _strip(quo), _strip(rem[: _deg(g)])
+    return _strip(quo), _strip(rem[:n])
 
 
 def _gf_rem(f, g, p):
@@ -209,16 +192,16 @@ def _gf_ddf(f, p):
     factors = []
     h = [0, 1]  # x^(p^d) mod f
     d = 1
-    while _deg(f) >= 2 * d:
+    while len(f) - 1 >= 2 * d:
         h = _gf_pow_mod(h, p, f, p)
         g = _gf_gcd(_gf_sub(h, [0, 1], p), f, p)
-        if _deg(g) > 0:
+        if len(g) > 1:
             factors.append((g, d))
             f = _gf_quo(f, g, p)
             h = _gf_rem(h, f, p)
         d += 1
-    if _deg(f) > 0:
-        factors.append((f, _deg(f)))
+    if len(f) > 1:
+        factors.append((f, len(f) - 1))
     return factors
 
 
@@ -228,13 +211,13 @@ def _gf_edf(g, d, p, rng):
 
     p must be odd: a random a splits g by gcd(a^((p^d-1)/2) - 1, g).
     """
-    n = _deg(g)
+    n = len(g) - 1
     if n == d:
         return [g]
     while True:
         a = _strip([rng.randrange(p) for _ in range(n)])
         b = _gf_gcd(_gf_sub(_gf_pow_mod(a, (p**d - 1) // 2, g, p), [1], p), g, p)
-        if 0 < _deg(b) < n:
+        if 0 < len(b) - 1 < n:
             return _gf_edf(b, d, p, rng) + _gf_edf(_gf_quo(g, b, p), d, p, rng)
 
 
@@ -245,15 +228,16 @@ def _gf_edf(g, d, p, rng):
 def _hensel_step(m, f, g, h, s, t):
     """One quadratic lift: from mod m to mod m**2.
 
-    Requires f = g*h and s*g + t*h = 1 (mod m), h monic.
+    Requires f = g*h and s*g + t*h = 1 (mod m), h monic; dividing by a
+    monic h is exact modulo any m, so _gf_divmod serves for m**2.
     """
     mm = m * m
     e = _trunc(_sub(f, _mul(g, h)), mm)
-    q, r = _divmod_mod(_mul(s, e), h, mm)
+    q, r = (_trunc(u, mm) for u in _gf_divmod(_mul(s, e), h, mm))
     g1 = _trunc(_add(_add(g, _mul(t, e)), _mul(q, g)), mm)
     h1 = _trunc(_add(h, r), mm)
     b = _trunc(_sub(_add(_mul(s, g1), _mul(t, h1)), [1]), mm)
-    c, d = _divmod_mod(_mul(s, b), h1, mm)
+    c, d = (_trunc(u, mm) for u in _gf_divmod(_mul(s, b), h1, mm))
     s1 = _trunc(_sub(s, d), mm)
     t1 = _trunc(_sub(_sub(t, _mul(t, b)), _mul(c, g1)), mm)
     return g1, h1, s1, t1
@@ -294,46 +278,25 @@ def _hensel_lift(p, f, modular, l):
 # Zassenhaus over Z
 # ----------------------------------------------------------------------
 
-def _sieve(limit):
-    flags = bytearray([1]) * limit
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = b"\x00" * len(flags[i * i :: i])
-    return [i for i in range(limit) if flags[i]]
-
-
-_PRIMES = _sieve(2000)
-
-
 def _zassenhaus(f):
     """Irreducible factors (primitive, lc > 0) of a primitive squarefree
     integer polynomial with lc > 0 and degree >= 1."""
-    n = _deg(f)
+    n = len(f) - 1
     if n == 1:
         return [list(f)]
     lead = f[-1]
     height = max(abs(a) for a in f)
     bound = (isqrt(n + 1) + 1) * 2**n * height * lead
 
-    # the prime with the fewest modular factors, counted by distinct degree
-    best = None
-    admissible = 0
-    for p in _PRIMES[1:]:
-        if lead % p == 0:
-            continue
-        fp = _gf_normal(f, p)
-        if _deg(_gf_gcd(fp, _derivative(fp), p)) != 0:
-            continue
-        ddf = _gf_ddf(_gf_monic(fp, p), p)
-        count = sum(_deg(g) // d for g, d in ddf)
-        if best is None or count < best[1]:
-            best = (p, count, ddf)
-        admissible += 1
-        if admissible >= 3 or count == 1:
-            break
-    p, count, ddf = best
-    if count == 1:
+    # the first odd prime that keeps the degree of f and leaves it squarefree;
+    # lead and the discriminant have finitely many prime factors, so it exists
+    for p in itertools.count(3, 2):
+        if lead % p and all(p % k for k in range(3, isqrt(p) + 1, 2)):
+            fp = _gf_normal(f, p)
+            if len(_gf_gcd(fp, _derivative(fp), p)) == 1:
+                break
+    ddf = _gf_ddf(_gf_monic(fp, p), p)
+    if ddf[0][1] == n:  # irreducible mod p, hence over Z
         return [list(f)]
     # the split is random, the set of factors it finds is not
     rng = random.Random(0)
@@ -369,7 +332,7 @@ def _zassenhaus(f):
                 break
         if not hit:
             size += 1
-    if _deg(current) > 0:
+    if len(current) > 1:
         found.append(current)
     return found
 
@@ -434,11 +397,4 @@ def factor_ratfunc(h: RatFunc) -> FactoredPoly:
 
 def is_irreducible(f: Poly) -> bool:
     """Irreducibility over Q (degree >= 1 required)."""
-    if f.is_zero() or f.degree < 1:
-        return False
-    if f.degree == 1:
-        return True
-    if poly_gcd(f, f.derivative()).degree > 0:
-        return False
-    _, dense = clear_denominators(f.monic())
-    return len(_zassenhaus(dense)) == 1
+    return f.degree >= 1 and factor_poly(f).factors == ((f.monic(), 1),)

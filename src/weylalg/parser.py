@@ -102,9 +102,9 @@ def _tokenize(text):
             tokens.append(("sym", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -117,7 +117,7 @@ def _tokenize(text):
 def _int(tok):
     try:
         return int(tok[1])
-    except ValueError:  # the only ValueError int() raises on a digit string
+    except ValueError:  # the only ValueError int() raises on a decimal string
         raise ParseError(
             f"integer literal has more than {sys.get_int_max_str_digits()} digits", tok[2]
         ) from None

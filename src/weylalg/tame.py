@@ -111,7 +111,7 @@ class _Triangular(_Generator):
 
 class PhiX(_Triangular):
     def _compose(self, p, q):
-        return p, q + p**self.n * self.lam
+        return p, (q + p**self.n * self.lam if self.lam else q)
 
     def _text(self):
         return f"(X, Y{_signed(self.lam, f'*X^{self.n}')})"
@@ -119,7 +119,7 @@ class PhiX(_Triangular):
 
 class PhiY(_Triangular):
     def _compose(self, p, q):
-        return p + q**self.n * self.lam, q
+        return (p + q**self.n * self.lam if self.lam else p), q
 
     def _text(self):
         return f"(X{_signed(self.lam, f'*Y^{self.n}')}, Y)"
@@ -226,18 +226,12 @@ def _evaluate(a: WeylElement, image_x: WeylElement, image_y: WeylElement) -> Wey
     """Substitute images for X and Y into the normal form of a."""
     h_image = None
     result = WeylElement()
-    pow_cache: dict[int, WeylElement] = {}
-
-    def vpow(i: int) -> WeylElement:
-        if i not in pow_cache:
-            base = image_x if i > 0 else image_y
-            pow_cache[i] = base ** abs(i)
-        return pow_cache[i]
-
     for i, f in a.components():
+        # each degree occurs once, so each power of an image is taken once
+        power = image_x**i if i > 0 else image_y**-i
         if not f.degree:
             # a scalar coefficient multiplies each component of the image
-            result = result + vpow(i) * f.lc
+            result = result + power * f.lc
             continue
         if h_image is None:
             h_image = image_y * image_x
@@ -251,7 +245,7 @@ def _evaluate(a: WeylElement, image_x: WeylElement, image_y: WeylElement) -> Wey
             last = e
         for _ in range(last):
             acc = acc * h_image
-        term = acc if i == 0 else acc * vpow(i)
+        term = acc if i == 0 else acc * power
         result = result + term
     return result
 

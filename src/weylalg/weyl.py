@@ -139,6 +139,10 @@ class GradedElement:
         if o is None:
             return NotImplemented
         cls, a, b = self._join(self, o)
+        if not a._comp:
+            return b
+        if not b._comp:
+            return a
         return cls(list(a._comp.items()) + list(b._comp.items()))
 
     __radd__ = __add__
@@ -161,6 +165,8 @@ class GradedElement:
             # through the shift, so they take the general product below
             if not other:
                 return type(self)()
+            if other == 1:
+                return self
             return type(self)({i: c * other for i, c in self._comp.items()})
         o = self._promote(other)
         if o is None:

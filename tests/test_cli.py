@@ -3,6 +3,7 @@ import io
 import json
 import re
 import sys
+from math import isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,15 @@ class TestCertifyCommand:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize("text, position", [("X^\u00b2", 2), ("X + \u00b2", 4)])
+    def test_digit_int_cannot_read_exit_2(self, capsys, text, position):
+        code, out, err = run_cli(capsys, "normalize", text)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: unexpected character '\u00b2' (at position {position})\n"
+
+    def test_decimal_digits_of_any_script(self, capsys):
+        assert run_cli(capsys, "normalize", "X^\u0661\u0662") == (0, "X^12\n", "")
+
     def test_deep_nesting_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "normalize", "(" * 5000 + "X" + ")" * 5000)
         assert (code, out) == (2, "")
@@ -145,6 +155,13 @@ class TestCentralizerCommand:
 
     def test_non_homogeneous_rejected(self, capsys):
         assert run_cli(capsys, "centralizer", "X + Y")[0] == 3
+
+    def test_lead_divisible_by_every_small_prime(self, capsys):
+        # factoring the numerator H^2 + 1/N must look past the primes below 2000
+        n = prod(p for p in range(3, 2000, 2) if all(p % k for k in range(3, isqrt(p) + 1, 2)))
+        code, out, err = run_cli(capsys, "centralizer", f"(H^2 + 1/{n})*X^2")
+        assert (code, err) == (0, "")
+        assert out.startswith("s = 2\n")
 
     def test_non_monic_is_split(self, capsys):
         code, out, _ = run_cli(capsys, "centralizer", "3*X^2", "--json")
@@ -250,10 +267,20 @@ def test_any_text_exits_with_a_message(text):
             assert err.startswith(("parse error: ", "error: ", "out of scope: ", "weyl "))
 
 
+def _golden_records():
+    with Path(__file__).with_name("cli_golden.jsonl").open(encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle]
+
+
 def test_golden_calls_are_byte_stable():
     """Replay tests/cli_golden.jsonl (written by tests/make_cli_golden.py)."""
-    with Path(__file__).with_name("cli_golden.jsonl").open(encoding="utf-8") as handle:
-        golden = [json.loads(line) for line in handle]
-    for record in golden:
+    for record in _golden_records():
         code, out, _ = run_quiet(record["argv"])
         assert (code, out) == (record["code"], record["stdout"]), record["argv"]
+
+
+def test_golden_file_holds_the_generator_calls():
+    """cli_golden.jsonl was regenerated after the last edit of its generator."""
+    from make_cli_golden import golden_calls
+
+    assert [record["argv"] for record in _golden_records()] == golden_calls()

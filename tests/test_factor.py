@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -26,6 +26,11 @@ KNOWN_IRREDUCIBLE = [
     H**3 + 2 * H + 2,
     H**3 - H + 1,
 ]
+
+
+PRODUCT_OF_ODD_PRIMES_BELOW_2000 = prod(
+    p for p in range(3, 2000, 2) if all(p % k for k in range(3, isqrt(p) + 1, 2))
+)
 
 
 def has_rational_root(f: Poly) -> bool:
@@ -193,3 +198,11 @@ class TestStructure:
         assert not is_irreducible(H**2 - 1)
         assert not is_irreducible((H + 1) ** 2)
         assert not is_irreducible(Poly.constant(5))
+        assert not is_irreducible(Poly.zero())
+        assert is_irreducible(2 * H + 1)
+
+    def test_every_prime_below_2000_divides_the_lead(self):
+        # H^2 + 1/N clears to N H^2 + 1, so the first good prime is 2003
+        f = H**2 + F(1, PRODUCT_OF_ODD_PRIMES_BELOW_2000)
+        assert factor_poly(f).exponent_map() == {f: 1}
+        assert is_irreducible(f)

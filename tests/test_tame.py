@@ -24,7 +24,7 @@ from weylalg import (
     xi_apply,
 )
 import weylalg.tame as tame_module
-from weylalg.weyl import H, ONE, X, Y
+from weylalg.weyl import H, ONE, GradedElement, X, Y
 from helpers import random_weyl
 from tame_oracle import apply_sequential
 
@@ -242,6 +242,38 @@ class TestImages:
         ix, iy = auto_images(w)
         assert ix == X
         assert iy == Y + WeylElement({2: 1})
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        """A list that GradedElement.__mul__ appends to on every product of
+        two elements; a product with a scalar is not counted."""
+        calls = []
+        multiply = GradedElement.__mul__
+
+        def counted(a, b):
+            if isinstance(b, GradedElement):
+                calls.append(None)
+            return multiply(a, b)
+
+        monkeypatch.setattr(GradedElement, "__mul__", counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_applying_to_a_letter_adds_no_product(self, products, seed):
+        w = random_tame(seed, word_len=5, max_n=3, coeff_height=6)
+        images = auto_images(w)
+        composed = len(products)
+        products.clear()
+        assert apply_auto(w, Y) == images[1]
+        assert len(products) <= composed
+        # substituting into a letter returns the image itself, not a rebuilt copy
+        assert tame_module._evaluate(X, *images) is images[0]
+        assert tame_module._evaluate(Y, *images) is images[1]
+
+    def test_zero_lambda_composes_without_products(self, products):
+        for letter in (X, Y):
+            assert apply_auto(word(PhiX(3, 0), PhiY(2, 0)), letter) == letter
+        assert products == []
 
 
 # small rationals, so that the images of a word stay small enough for the
