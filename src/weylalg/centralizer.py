@@ -29,9 +29,15 @@ from .polynomials import NEG_INF, Poly, RatFunc, sigma_pow
 from .weyl import HomogeneousElement
 
 
+def _check_direction(direction):
+    if direction not in ("plus", "minus"):
+        raise ValueError(f"direction must be 'plus' or 'minus', got {direction!r}")
+
+
 def twisted_product(beta, k: int, s: int, direction: str):
     """Product of k copies of beta shifted by 0, s, 2s, ... (plus) or
     0, -s, -2s, ... (minus)."""
+    _check_direction(direction)
     step = s if direction == "plus" else -s
     result = beta
     for m in range(1, k):
@@ -166,8 +172,7 @@ def _twisted_root(alpha: RatFunc, k: int, s: int, direction: str, factored) -> R
     factorization does not depend on s, so a caller trying several divisors
     can hand in one that factors alpha once.
     """
-    if direction not in ("plus", "minus"):
-        raise ValueError(f"direction must be 'plus' or 'minus', got {direction!r}")
+    _check_direction(direction)
     if k <= 0 or s <= 0:
         raise DomainError("twisted root needs positive k and s")
     if not alpha.is_monic():

@@ -16,16 +16,16 @@ Every certificate is verified before it is returned: its images of X and
 Y, composed once, must equal (Q, P).
 
 impossibility_sweep encodes the excluded configurations as exact linear
-systems with integer coefficients and reports each cell as empty or
-solvable with an independently checked witness.  Every system is one
-triangular block per unknown polynomial: the column of H^e under
-1 - sigma^s ends in row e - 1 with the entry e*s, never zero.  So the
-pivots are known before any elimination, and the solver back-substitutes
-on them in integers with exact division, over one common denominator (no
-rational and no floating-point number until a witness is built).  Each sweep
+systems with integer coefficients, one triangular block per unknown
+polynomial: 1 - sigma^s lowers the degree by exactly one, so the column of
+H^e ends in row e - 1 with the entry e*s, never zero.  A cell is empty when
+the row where its top coefficient's column ends lies below row 0 (so its
+right-hand side is 0) and holds no other entry: that row forces the top
+coefficient to 0.  The other cells, case-ii/iii at p = 1, deg a = deg b = 0
+and case-v at deg a = deg b, get witnesses checked independently; case-v
+solves for them by integer back-substitution on the known pivots.  Each sweep
 keeps one column table: the columns for a shift are built once, each from
 the one before by Pascal's rule, and every cell of the sweep reads them.
-The table goes away with the sweep.
 """
 
 from __future__ import annotations
@@ -212,6 +212,16 @@ def _column_table():
     return table
 
 
+def _top_row_empties(blocks, table, top):
+    """Whether the row where column top ends forces unknown top to 0: it lies
+    below row 0, so its right-hand side is 0, and holds no other entry."""
+    columns = [c for deg_bound, shift in blocks for c in table(deg_bound, shift)]
+    row = len(columns[top]) - 1
+    return row >= 1 and columns[top][row] != 0 and not any(
+        len(c) > row and c[row] for i, c in enumerate(columns) if i != top
+    )
+
+
 def _solve_blocks(blocks, table):
     """Solve sum over blocks (1 - sigma^shift)(f) = 1 for f of degree <= deg_bound.
 
@@ -272,12 +282,6 @@ def _solve_blocks(blocks, table):
             vec[col] = -value
         kernel.append(vec)
     return den, particular, kernel
-
-
-def _functional_vanishes(index, particular, kernel):
-    if particular[index]:
-        return False
-    return all(not k[index] for k in kernel)
 
 
 def _point_avoiding_zeros(particular, kernel, indices):
@@ -355,24 +359,21 @@ class SweepReport:
 def _cell_pair_system(table, p, q, deg_a, deg_b, pattern):
     """Cell for: exists a (exact degree deg_a), b (exact degree deg_b) with
     (1 - sigma^-p)(a) + (1 - sigma^-q)(b) = 1."""
-    solved = _solve_blocks([(deg_a, -p), (deg_b, -q)], table)
+    blocks = [(deg_a, -p), (deg_b, -q)]
+    top_a, top_b = deg_a, deg_a + 1 + deg_b
     detail = f"(1-s^-{p})(a) + (1-s^-{q})(b) = 1, deg a = {deg_a}, deg b = {deg_b}"
-    if solved is None:
-        return SweepCell(pattern, p, q, deg_a, deg_b, "empty", detail + "; system inconsistent")
-    den, particular, kernel = solved
-    top_a = deg_a
-    top_b = deg_a + 1 + deg_b
-    for idx, name in ((top_a, "a"), (top_b, "b")):
-        if _functional_vanishes(idx, particular, kernel):
-            return SweepCell(
-                pattern, p, q, deg_a, deg_b, "empty",
-                detail + f"; every solution drops the leading coefficient of {name}",
-            )
-    point = _point_avoiding_zeros(particular, kernel, [top_a, top_b])
+    if _top_row_empties(blocks, table, top_b):
+        return SweepCell(
+            pattern, p, q, deg_a, deg_b, "empty",
+            detail + "; every solution drops the leading coefficient of b",
+        )
+    # deg a = deg b is left; the row reads p lc(a) + q lc(b) = 0 up to sign
+    solved = _solve_blocks(blocks, table)
+    point = None if solved is None else _point_avoiding_zeros(solved[1], solved[2], [top_a, top_b])
     if point is None:
-        return SweepCell(pattern, p, q, deg_a, deg_b, "empty", detail + "; leading coefficients cannot both survive")
-    a_poly = _poly(point[:deg_a + 1], den)
-    b_poly = _poly(point[deg_a + 1:], den)
+        raise _internal(f"no solution keeps both leading coefficients in {detail}")
+    a_poly = _poly(point[:deg_a + 1], solved[0])
+    b_poly = _poly(point[deg_a + 1:], solved[0])
     if delta_balance_check(a_poly, b_poly, p, q) != Poly.one():
         raise RuntimeError("sweep witness failed independent verification")
     witness = {"a": a_poly.to_json(), "b": b_poly.to_json()}
@@ -384,34 +385,28 @@ def _cell_single_system(table, p, q, deg_a, deg_b, pattern, extra=""):
     [alpha X^p, beta Y^p] = 1, relaxed to gamma = alpha sigma^p(beta) (p,-p)
     of exact degree deg_a + deg_b + p with (1 - sigma^-p)(gamma) = 1."""
     big = deg_a + deg_b + p
-    solved = _solve_blocks([(big, -p)], table)
     detail = (
         f"[a X^{p}, b Y^{p}] = 1 via (1-s^-{p})(gamma) = 1, "
         f"deg gamma = {deg_a} + {deg_b} + {p}{extra}"
     )
-    if solved is None:
-        return SweepCell(pattern, p, q, deg_a, deg_b, "empty", detail + "; system inconsistent")
-    _, particular, kernel = solved
-    if _functional_vanishes(big, particular, kernel):
+    if _top_row_empties([(big, -p)], table, big):
         return SweepCell(
             pattern, p, q, deg_a, deg_b, "empty",
             detail + "; every solution has deg gamma <= 1, below the forced degree",
         )
-    # a witness exists; for constant coefficients recover the scalar family
-    witness = None
-    if deg_a == 0 and deg_b == 0:
-        base = delta_op(structure_constant(p, -p), -p)
-        if base.is_constant():
-            t = 1 / base.constant_value()
-            alpha = WeylElement({p: t})
-            beta = WeylElement({-p: 1})
-            if commutator(alpha, beta) != ONE:
-                raise RuntimeError("sweep witness failed independent verification")
-            witness = {
-                "alpha": rat_to_str(t),
-                "beta": rat_to_str(Fraction(1)),
-                "relation": f"alpha*beta = {rat_to_str(t)}",
-            }
+    # deg gamma = 1 is left, solved by the scalar family alpha * beta = t
+    if big != 1:
+        raise _internal(f"top row does not decide {detail}")
+    t = 1 / delta_op(structure_constant(p, -p), -p).constant_value()
+    alpha = WeylElement({p: t})
+    beta = WeylElement({-p: 1})
+    if commutator(alpha, beta) != ONE:
+        raise RuntimeError("sweep witness failed independent verification")
+    witness = {
+        "alpha": rat_to_str(t),
+        "beta": rat_to_str(Fraction(1)),
+        "relation": f"alpha*beta = {rat_to_str(t)}",
+    }
     return SweepCell(pattern, p, q, deg_a, deg_b, "solutions", detail + "; solutions exist", witness)
 
 
@@ -458,11 +453,14 @@ _SWEEPS = {"case-ii": _case_ii_cells, "case-iii": _case_iii_cells, "case-v": _ca
 def impossibility_sweep(pattern: str, bounds: dict, cap: int = 16) -> SweepReport:
     """Exhaustive exact-linear-algebra sweep over one excluded configuration.
 
-    bounds needs keys p, q, max_coeff_deg.  Cells are independent and run in
+    bounds has exactly the keys p, q, max_coeff_deg.  Cells are independent and run in
     the deterministic cell enumeration order, which is the report order.
     """
     if pattern not in _SWEEPS:
         raise DomainError(f"unknown sweep pattern {pattern!r}")
+    unknown = [key for key in bounds if key not in ("p", "q", "max_coeff_deg")]
+    if unknown:
+        raise DomainError(f"unknown bound {unknown[0]!r}")
     for key in ("p", "q", "max_coeff_deg"):
         if key not in bounds:
             raise DomainError(f"bounds must include {key!r}")

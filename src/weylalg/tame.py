@@ -36,19 +36,6 @@ from .errors import DomainError
 from .polynomials import Poly, _as_fraction, _json_list, rat_format, rat_from_json, rat_to_str
 from .weyl import WeylElement, X, Y
 
-__all__ = [
-    "PhiX",
-    "PhiY",
-    "Torus",
-    "Translate",
-    "Xi",
-    "AutoWord",
-    "apply_auto",
-    "invert_auto",
-    "random_tame",
-    "affine_decompose",
-]
-
 
 def _signed(scalar, body=""):
     sign = "-" if scalar < 0 else "+"

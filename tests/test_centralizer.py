@@ -84,6 +84,13 @@ class TestTwistedRoot:
         alpha = twisted_product(beta, 3, 2, "minus")
         assert solve_twisted_root(alpha, 3, 2, "minus") == beta
 
+    def test_rejects_bad_direction(self):
+        beta = RatFunc(Hp)
+        with pytest.raises(ValueError, match="direction must be 'plus' or 'minus', got 'bogus'"):
+            twisted_product(beta, 2, 1, "bogus")
+        with pytest.raises(ValueError, match="direction must be 'plus' or 'minus', got 'bogus'"):
+            solve_twisted_root(twisted_product(beta, 2, 1, "plus"), 2, 1, "bogus")
+
     def test_ratfunc_alpha(self):
         beta = RatFunc(Hp, Hp**2 + 1)
         alpha = twisted_product(beta, 2, 3, "plus")

@@ -222,6 +222,11 @@ class TestSweep:
         with pytest.raises(DomainError, match=f"bound '{key}' must be a nonnegative integer"):
             impossibility_sweep("case-ii", bounds)
 
+    def test_bounds_reject_unknown_keys(self):
+        bounds = {"p": 2, "q": 2, "max_coeff_deg": 0, "junk": [1, 2]}
+        with pytest.raises(DomainError, match="unknown bound 'junk'"):
+            impossibility_sweep("case-ii", bounds)
+
     def test_sweep_is_deterministic(self):
         bounds = {"p": 2, "q": 2, "max_coeff_deg": 2}
         assert impossibility_sweep("case-ii", bounds) == impossibility_sweep("case-ii", bounds)
@@ -390,3 +395,59 @@ class TestPowerRelations:
             result = centralizer_generator(u)
             decomp = power_decompose(u, result.v)
             assert decomp.exponent * result.s == n
+
+
+def _sweep_system(cell):
+    """The blocks of a cell's linear system and the indices of the top
+    coefficients the cell asks to be nonzero."""
+    if cell.pattern == "case-v":
+        blocks = [(cell.deg_a, -cell.p), (cell.deg_b, -cell.q)]
+        return blocks, [cell.deg_a, cell.deg_a + 1 + cell.deg_b]
+    big = cell.deg_a + cell.deg_b + cell.p
+    return [(big, -cell.p)], [big]
+
+
+class TestSweepRowRule:
+    """Each verdict, decided by one row of the system, against the closed
+    form the lemma gives and against Bareiss on the dense rows."""
+
+    CAP = {"p": 16, "q": 16, "max_coeff_deg": 16}
+
+    @pytest.mark.parametrize("pattern", ["case-ii", "case-iii", "case-v"])
+    def test_cap_grid_matches_the_closed_form(self, pattern):
+        cells = impossibility_sweep(pattern, self.CAP).cells
+        for cell in cells:
+            if pattern == "case-v":
+                solvable = cell.deg_a == cell.deg_b
+            else:
+                solvable = cell.p == cell.q and cell.deg_a + cell.deg_b + cell.p < 2
+            assert cell.status == ("solutions" if solvable else "empty"), cell
+            assert (cell.witness is not None) == solvable, cell
+
+    @pytest.mark.parametrize("pattern", ["case-ii", "case-iii", "case-v"])
+    def test_subgrid_matches_bareiss(self, pattern):
+        cells = impossibility_sweep(pattern, {"p": 6, "q": 6, "max_coeff_deg": 4}).cells
+        checked = 0
+        for cell in cells:
+            if cell.deg_a is None:
+                continue  # case-ii with p != q has no linear system
+            blocks, tops = _sweep_system(cell)
+            solved = bareiss_solve(*system_rows(blocks))
+            # the top coefficient is a functional on the solutions; a cell has
+            # solutions iff none of its top functionals vanishes on all of them
+            solvable = solved is not None and all(
+                solved[1][top] or any(k[top] for k in solved[2]) for top in tops
+            )
+            assert cell.status == ("solutions" if solvable else "empty"), cell
+            checked += 1
+        assert checked
+
+    def test_unsolvable_case_v_cell_is_an_internal_defect(self, monkeypatch):
+        monkeypatch.setattr(certify_module, "_point_avoiding_zeros", lambda particular, kernel, indices: None)
+        with pytest.raises(RuntimeError, match="certifier internal defect"):
+            impossibility_sweep("case-v", {"p": 2, "q": 2, "max_coeff_deg": 0})
+
+    def test_undecided_row_is_an_internal_defect(self, monkeypatch):
+        monkeypatch.setattr(certify_module, "_top_row_empties", lambda blocks, table, top: False)
+        with pytest.raises(RuntimeError, match="certifier internal defect"):
+            impossibility_sweep("case-iii", {"p": 2, "q": 2, "max_coeff_deg": 0})
