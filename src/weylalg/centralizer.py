@@ -38,6 +38,8 @@ def twisted_product(beta, k: int, s: int, direction: str):
     """Product of k copies of beta shifted by 0, s, 2s, ... (plus) or
     0, -s, -2s, ... (minus)."""
     _check_direction(direction)
+    if k < 1:
+        raise DomainError("twisted root needs positive k and s")
     step = s if direction == "plus" else -s
     result = beta
     for m in range(1, k):

@@ -21,23 +21,22 @@ polynomial: 1 - sigma^s lowers the degree by exactly one, so the column of
 H^e ends in row e - 1 with the entry e*s, never zero.  A cell is empty when
 the row where its top coefficient's column ends lies below row 0 (so its
 right-hand side is 0) and holds no other entry: that row forces the top
-coefficient to 0.  The other cells, case-ii/iii at p = 1, deg a = deg b = 0
-and case-v at deg a = deg b, get witnesses checked independently; case-v
-solves for them by integer back-substitution on the known pivots.  Each sweep
-keeps one column table: the columns for a shift are built once, each from
-the one before by Pascal's rule, and every cell of the sweep reads them.
+coefficient to 0.  The other cells have witnesses in closed form, each
+checked independently: case-ii/iii at p = 1, deg a = deg b = 0 get the
+scalar family alpha * beta = t, and case-v at p = q, deg a = deg b = d gets
+a = -H/p - H^d, b = H^d, since (1 - sigma^-p)(-H/p) = 1.  Each sweep keeps
+one column table: the columns for a shift are built once, each from the one
+before by Pascal's rule, and every cell of the sweep reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
-from operator import mul
 
 from .errors import DomainError, OutOfScopeError
 from .parser import format_pretty
-from .polynomials import Poly, _poly, delta_op, rat_to_str
+from .polynomials import Poly, delta_op, rat_to_str
 from .tame import AutoWord, PhiX, PhiY, Torus, Translate, Xi, affine_decompose, auto_images
 from .weyl import (
     ONE,
@@ -187,7 +186,7 @@ def certify_pair(P: WeylElement, Q: WeylElement) -> AutoWord:
 
 
 # ----------------------------------------------------------------------
-# exact linear algebra on the sweep's triangular blocks
+# the sweep's triangular blocks
 # ----------------------------------------------------------------------
 
 def _column_table():
@@ -220,90 +219,6 @@ def _top_row_empties(blocks, table, top):
     return row >= 1 and columns[top][row] != 0 and not any(
         len(c) > row and c[row] for i, c in enumerate(columns) if i != top
     )
-
-
-def _solve_blocks(blocks, table):
-    """Solve sum over blocks (1 - sigma^shift)(f) = 1 for f of degree <= deg_bound.
-
-    blocks is a list of (deg_bound, shift), and table a _column_table();
-    the unknowns are the coefficients of H^0..H^deg_bound of each block's
-    f, block after block.  Returns None
-    when the system is inconsistent, else (den, particular, kernel): den > 0
-    and integer vectors such that the solutions are exactly
-    (particular + sum_k t_k * kernel_k) / den over rational t_k.
-    particular / den is the solution with every free variable 0, and
-    kernel_k / den the kernel vector with the k-th free variable (in column
-    order) 1 and the others 0.
-
-    The column of H^e ends in row e - 1 with the entry e * shift, so the
-    pivot of row i is the first column whose last entry sits in row i, and
-    the pivot columns form an upper triangular matrix U.  den is |det U|,
-    and den * U^-1 applied to the right-hand side and to each free column
-    comes out of integer back-substitution with exact division.
-    """
-    columns = [c for deg_bound, shift in blocks for c in table(deg_bound, shift)]
-    size = max(len(c) for c in columns)
-    if not size:
-        return None  # every column is empty: the system reads 0 = 1
-    pivots = [None] * size
-    for index, column in enumerate(columns):
-        if column and pivots[len(column) - 1] is None:
-            pivots[len(column) - 1] = index
-    if None in pivots:
-        raise _internal("sweep system has a row without a pivot")
-    diagonal = [columns[col][i] for i, col in enumerate(pivots)]
-    if not all(diagonal):
-        raise _internal("sweep system has a zero pivot")
-    # rows[i] holds the entries of row i in the pivot columns right of the diagonal
-    rows = [[columns[col][i] for col in pivots[i + 1:]] for i in range(size)]
-    den = abs(prod(diagonal))
-
-    def scaled_solution(target):
-        """den * U^-1 target, for an integer target of at most size entries."""
-        y = []  # the solution from the bottom row up to the current one
-        for i in range(len(target) - 1, -1, -1):
-            tail = rows[i]
-            value, rest = divmod(den * target[i] - sum(map(mul, tail, reversed(y))), diagonal[i])
-            if rest:
-                raise _internal("sweep back-substitution left a remainder")
-            y.append(value)
-        y.reverse()
-        return y
-
-    n = len(columns)
-    particular = [0] * n
-    for col, value in zip(pivots, scaled_solution([1])):
-        particular[col] = value
-    kernel = []
-    for free in sorted(set(range(n)) - set(pivots)):
-        vec = [0] * n
-        vec[free] = den
-        for col, value in zip(pivots, scaled_solution(columns[free])):
-            vec[col] = -value
-        kernel.append(vec)
-    return den, particular, kernel
-
-
-def _point_avoiding_zeros(particular, kernel, indices):
-    """A solution with all the indexed coordinates nonzero, or None."""
-    x = list(particular)
-    for idx in indices:
-        if x[idx]:
-            continue
-        vec = next((k for k in kernel if k[idx]), None)
-        if vec is None:
-            return None
-        # each already-nonzero coordinate rules out at most one multiplier
-        for t in range(1, len(indices) + 2):
-            candidate = [xi + t * vi for xi, vi in zip(x, vec)]
-            if all(candidate[i] for i in indices if x[i] or i == idx):
-                x = candidate
-                break
-        else:
-            return None
-    if all(x[i] for i in indices):
-        return x
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -360,21 +275,20 @@ def _cell_pair_system(table, p, q, deg_a, deg_b, pattern):
     """Cell for: exists a (exact degree deg_a), b (exact degree deg_b) with
     (1 - sigma^-p)(a) + (1 - sigma^-q)(b) = 1."""
     blocks = [(deg_a, -p), (deg_b, -q)]
-    top_a, top_b = deg_a, deg_a + 1 + deg_b
     detail = f"(1-s^-{p})(a) + (1-s^-{q})(b) = 1, deg a = {deg_a}, deg b = {deg_b}"
-    if _top_row_empties(blocks, table, top_b):
+    if _top_row_empties(blocks, table, deg_a + 1 + deg_b):
         return SweepCell(
             pattern, p, q, deg_a, deg_b, "empty",
             detail + "; every solution drops the leading coefficient of b",
         )
-    # deg a = deg b is left; the row reads p lc(a) + q lc(b) = 0 up to sign
-    solved = _solve_blocks(blocks, table)
-    point = None if solved is None else _point_avoiding_zeros(solved[1], solved[2], [top_a, top_b])
-    if point is None:
-        raise _internal(f"no solution keeps both leading coefficients in {detail}")
-    a_poly = _poly(point[:deg_a + 1], solved[0])
-    b_poly = _poly(point[deg_a + 1:], solved[0])
-    if delta_balance_check(a_poly, b_poly, p, q) != Poly.one():
+    # deg a = deg b at p = q is left: (1 - sigma^-p)(a + b) = 1 is solved by
+    # a + b = -H/p, and b = H^d keeps both leading coefficients
+    if p != q or deg_a != deg_b:
+        raise _internal(f"top row does not decide {detail}")
+    b_poly = Poly(((deg_b, 1),))
+    a_poly = Poly(((1, Fraction(-1, p)),)) - b_poly
+    balance = delta_balance_check(a_poly, b_poly, p, q)
+    if balance != Poly.one() or (a_poly.degree, b_poly.degree) != (deg_a, deg_b):
         raise RuntimeError("sweep witness failed independent verification")
     witness = {"a": a_poly.to_json(), "b": b_poly.to_json()}
     return SweepCell(pattern, p, q, deg_a, deg_b, "solutions", detail + "; witness verified", witness)

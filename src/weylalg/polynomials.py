@@ -345,6 +345,8 @@ class Poly:
     def __divmod__(self, other: "Poly"):
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(other)
+        if not isinstance(other, Poly):
+            return NotImplemented
         # s F = Q G + R gives F/a = (Q b / (s a)) (G/b) + R / (s a)
         q, r, s = _pseudo_divmod(self._c, other._c)
         den = s * self._den
@@ -474,6 +476,8 @@ class RatFunc:
             den = _ONE
         elif isinstance(den, (int, Fraction)):
             den = Poly.constant(den)
+        if not isinstance(num, Poly) or not isinstance(den, Poly):
+            raise TypeError(f"RatFunc needs Poly, int or Fraction parts, got {num!r} and {den!r}")
         if den.is_zero():
             raise DomainError("rational function with zero denominator")
         if num.is_zero():

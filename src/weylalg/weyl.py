@@ -300,26 +300,26 @@ def total_degree(a: WeylElement):
     return max(2 * f.degree + abs(i) for i, f in a.components())
 
 
-def xi_apply(a: WeylElement) -> WeylElement:
-    """The grading-reversing automorphism X -> Y, Y -> -X (so H -> 1 - H)."""
+def _xi_flip(a: WeylElement, negated: int) -> WeylElement:
+    """Send degree i to -i under H -> 1 - H, negating the odd degrees of
+    sign negated."""
     comp = {}
     for i, f in a.components():
         g = f.compose_affine(-1, 1)
-        if i < 0 and i % 2:
+        if i * negated > 0 and i % 2:
             g = -g
         comp[-i] = g
     return WeylElement(comp)
+
+
+def xi_apply(a: WeylElement) -> WeylElement:
+    """The grading-reversing automorphism X -> Y, Y -> -X (so H -> 1 - H)."""
+    return _xi_flip(a, -1)
 
 
 def xi_inverse_apply(a: WeylElement) -> WeylElement:
     """Inverse of xi_apply: X -> -Y, Y -> X."""
-    comp = {}
-    for i, f in a.components():
-        g = f.compose_affine(-1, 1)
-        if i > 0 and i % 2:
-            g = -g
-        comp[-i] = g
-    return WeylElement(comp)
+    return _xi_flip(a, 1)
 
 
 def in_skew_subalgebra(a: WeylElement, side: str) -> bool:

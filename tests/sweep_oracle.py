@@ -7,10 +7,8 @@ Gauss-Jordan elimination on any integer system, returning the solutions
 over one common denominator; ``system_rows`` builds the dense rows of a
 sweep block system for it, from columns that ``delta_columns`` gets by one
 Taylor shift per column.  The tests check ``bareiss_solve`` against
-``solve_exact`` on random systems, and the sweep's structured solver
-:func:`weylalg.certify._solve_blocks`, which reads its pivots off the block
-shape and its columns off a Pascal's-rule table, against ``bareiss_solve``
-on the block systems.
+``solve_exact`` on random systems, and the sweep's verdicts and closed-form
+witnesses against ``bareiss_solve`` on the block systems.
 """
 
 from fractions import Fraction

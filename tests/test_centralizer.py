@@ -91,6 +91,12 @@ class TestTwistedRoot:
         with pytest.raises(ValueError, match="direction must be 'plus' or 'minus', got 'bogus'"):
             solve_twisted_root(twisted_product(beta, 2, 1, "plus"), 2, 1, "bogus")
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_empty_product_is_rejected(self, k):
+        # the empty product would be 1, not beta
+        with pytest.raises(DomainError, match="twisted root needs positive k and s"):
+            twisted_product(RatFunc(Hp), k, 1, "plus")
+
     def test_ratfunc_alpha(self):
         beta = RatFunc(Hp, Hp**2 + 1)
         alpha = twisted_product(beta, 2, 3, "plus")

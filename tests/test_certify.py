@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import factorial
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +26,7 @@ from weylalg import (
     structure_constant,
 )
 import weylalg.certify as certify_module
-from weylalg.certify import _column_table, _solve_blocks
+from weylalg.certify import _cell_pair_system, _column_table, _top_row_empties
 from weylalg.polynomials import delta_op
 from weylalg.weyl import ONE, X, Y
 
@@ -327,60 +327,76 @@ class TestSolver:
                 assert Poly(enumerate(column)) == delta_op(Poly(((e, 1),)), shift)
 
 
+def _keeps_tops(blocks, tops):
+    """Whether Bareiss on the dense rows finds a solution with every indexed
+    unknown nonzero.  Each is a functional on the solutions, and a solution
+    avoids where they vanish unless one of them vanishes on all."""
+    solved = bareiss_solve(*system_rows(blocks))
+    return solved is not None and all(solved[1][top] or any(k[top] for k in solved[2]) for top in tops)
+
+
+def _solves_rows(blocks, polys):
+    """Whether the coefficients of polys, block after block, solve the dense rows."""
+    rows, rhs = system_rows(blocks)
+    x = [f.coeff(e) for (deg_bound, _), f in zip(blocks, polys) for e in range(deg_bound + 1)]
+    return [sum(map(mul, row, x)) for row in rows] == rhs
+
+
+def _is_case_v_shape(p, q, deg_a, deg_b):
+    """Whether the case-v sweep enumerates the cell (p, q, deg_a, deg_b)."""
+    return 2 <= p <= q and deg_a >= p - 1 and deg_b >= q - 1 and (
+        deg_a < deg_b if p < q else deg_a == deg_b
+    )
+
+
 class TestBlockSolver:
-    """The sweep's structured solver against Bareiss on the dense rows."""
+    """The sweep's answers on its block systems against Bareiss on the dense
+    rows, on a wider grid than the sweep tests: the row rule's verdicts, and
+    the closed-form witness of each solvable case-v cell."""
 
     def test_single_blocks_match_bareiss(self):
+        # case-ii/iii blocks (big, -p): the row rule empties exactly the blocks
+        # whose top coefficient every solution sets to 0
         table = _column_table()
-        for big in range(25):
+        for big in range(1, 25):
             for p in range(1, 17):
                 blocks = [(big, -p)]
-                assert _solve_blocks(blocks, table) == bareiss_solve(*system_rows(blocks)), blocks
+                assert _top_row_empties(blocks, table, big) != _keeps_tops(blocks, [big]), blocks
 
     @pytest.mark.parametrize("p", range(1, 11))
     def test_sweep_blocks_match_bareiss(self, p):
-        # case-ii/iii: one block of degree deg_a + deg_b + p
         table = _column_table()
+        # case-ii/iii: one block of degree deg_a + deg_b + p
         for big in range(p, p + 25):
             blocks = [(big, -p)]
-            assert _solve_blocks(blocks, table) == bareiss_solve(*system_rows(blocks)), blocks
-        # case-v: two blocks side by side
+            assert _top_row_empties(blocks, table, big) != _keeps_tops(blocks, [big]), blocks
+        # case-v: two blocks side by side.  An emptied pair keeps no solution
+        # with b's top; a cell of the sweep's shape gets Bareiss's verdict, and
+        # its witness solves the dense rows
         for q in range(p, 11):
             for deg_a in range(13):
                 for deg_b in range(13):
                     blocks = [(deg_a, -p), (deg_b, -q)]
-                    assert _solve_blocks(blocks, table) == bareiss_solve(*system_rows(blocks)), blocks
-
-    def test_den_is_the_pivot_product(self):
-        # the pivot of H^e under 1 - sigma^-p is -e*p, so |det U| has a closed form
-        table = _column_table()
-        for p in range(1, 8):
-            for big in range(1, 13):
-                assert _solve_blocks([(big, -p)], table)[0] == factorial(big) * p**big
-            for q in range(1, 8):
-                for deg_a in range(10):
-                    for deg_b in range(max(deg_a, 1), 10):
-                        den = _solve_blocks([(deg_a, -p), (deg_b, -q)], table)[0]
-                        assert den == factorial(deg_b) * p**deg_a * q ** (deg_b - deg_a)
-
-    def test_all_empty_columns_are_inconsistent(self):
-        assert _solve_blocks([(0, -3)], _column_table()) is None
-        assert _solve_blocks([(0, -2), (0, -5)], _column_table()) is None
-        assert bareiss_solve(*system_rows([(0, -3)])) is None
-
-    def test_zero_shift_is_an_internal_defect(self):
-        # sigma^0 is the identity, so every column is zero and no pivot exists
-        with pytest.raises(RuntimeError, match="zero pivot"):
-            _solve_blocks([(3, 0)], _column_table())
+                    tops = [deg_a, deg_a + 1 + deg_b]
+                    if _top_row_empties(blocks, table, tops[1]):
+                        assert not _keeps_tops(blocks, tops[1:]), blocks
+                    if not _is_case_v_shape(p, q, deg_a, deg_b):
+                        continue
+                    cell = _cell_pair_system(table, p, q, deg_a, deg_b, "case-v")
+                    solvable = _keeps_tops(blocks, tops)
+                    assert cell.status == ("solutions" if solvable else "empty"), cell
+                    if solvable:
+                        a, b = (Poly.from_json(cell.witness[k]) for k in "ab")
+                        assert _solves_rows(blocks, (a, b)), cell
 
     def test_solutions_satisfy_the_balance(self):
+        # every case-v witness up to the cap, checked apart from the sweep's own check
         table = _column_table()
-        for p, q, deg_a, deg_b in ((2, 3, 2, 5), (3, 3, 4, 4), (1, 4, 0, 3)):
-            den, particular, kernel = _solve_blocks([(deg_a, -p), (deg_b, -q)], table)
-            for vec in [particular] + [[x + v for x, v in zip(particular, k)] for k in kernel]:
-                a = Poly(enumerate(F(v, den) for v in vec[:deg_a + 1]))
-                b = Poly(enumerate(F(v, den) for v in vec[deg_a + 1:]))
-                assert delta_balance_check(a, b, p, q) == Poly.one()
+        for p in range(2, 17):
+            for d in range(p - 1, p + 16):
+                cell = _cell_pair_system(table, p, p, d, d, "case-v")
+                a, b = (Poly.from_json(cell.witness[k]) for k in "ab")
+                assert delta_balance_check(a, b, p, p) == Poly.one(), cell
 
 
 class TestPowerRelations:
@@ -423,6 +439,11 @@ class TestSweepRowRule:
                 solvable = cell.p == cell.q and cell.deg_a + cell.deg_b + cell.p < 2
             assert cell.status == ("solutions" if solvable else "empty"), cell
             assert (cell.witness is not None) == solvable, cell
+            if pattern == "case-v" and solvable:
+                # a = -H/p - H^d, b = H^d, each of its exact degree
+                a, b = (Poly.from_json(cell.witness[k]) for k in "ab")
+                assert b == Hp**cell.deg_b and a == Hp * F(-1, cell.p) - b, cell
+                assert (a.degree, b.degree) == (cell.deg_a, cell.deg_b), cell
 
     @pytest.mark.parametrize("pattern", ["case-ii", "case-iii", "case-v"])
     def test_subgrid_matches_bareiss(self, pattern):
@@ -432,19 +453,23 @@ class TestSweepRowRule:
             if cell.deg_a is None:
                 continue  # case-ii with p != q has no linear system
             blocks, tops = _sweep_system(cell)
-            solved = bareiss_solve(*system_rows(blocks))
-            # the top coefficient is a functional on the solutions; a cell has
-            # solutions iff none of its top functionals vanishes on all of them
-            solvable = solved is not None and all(
-                solved[1][top] or any(k[top] for k in solved[2]) for top in tops
-            )
+            solvable = _keeps_tops(blocks, tops)
             assert cell.status == ("solutions" if solvable else "empty"), cell
+            if pattern == "case-v" and solvable:
+                a, b = (Poly.from_json(cell.witness[k]) for k in "ab")
+                assert _solves_rows(blocks, (a, b)), cell
             checked += 1
         assert checked
 
     def test_unsolvable_case_v_cell_is_an_internal_defect(self, monkeypatch):
-        monkeypatch.setattr(certify_module, "_point_avoiding_zeros", lambda particular, kernel, indices: None)
-        with pytest.raises(RuntimeError, match="certifier internal defect"):
+        # with the row rule silenced, the p < q cells fall outside the closed form
+        monkeypatch.setattr(certify_module, "_top_row_empties", lambda blocks, table, top: False)
+        with pytest.raises(RuntimeError, match="certifier internal defect: top row does not decide"):
+            impossibility_sweep("case-v", {"p": 2, "q": 3, "max_coeff_deg": 0})
+
+    def test_failed_witness_check_raises(self, monkeypatch):
+        monkeypatch.setattr(certify_module, "delta_balance_check", lambda a, b, p, q: Poly.zero())
+        with pytest.raises(RuntimeError, match="sweep witness failed independent verification"):
             impossibility_sweep("case-v", {"p": 2, "q": 2, "max_coeff_deg": 0})
 
     def test_undecided_row_is_an_internal_defect(self, monkeypatch):

@@ -48,6 +48,16 @@ class TestPoly:
             assert Poly.constant(c) == c and hash(Poly.constant(c)) == hash(c)
         assert len({Poly.constant(3), 3, F(3)}) == 1
 
+    def test_division_by_other_types_is_a_type_error(self):
+        # divmod, // and % defer to the other operand like every Poly operator
+        assert divmod(2 * H + 1, 2) == (H + F(1, 2), Poly.zero())
+        with pytest.raises(TypeError):
+            divmod(H, "x")
+        with pytest.raises(TypeError):
+            H // 1.5
+        with pytest.raises(TypeError):
+            H % None
+
 
 def value_at(coeffs, x):
     """A polynomial's value from ascending coefficients, with no Poly arithmetic."""
@@ -232,6 +242,12 @@ class TestRatFunc:
             assert RatFunc(value) == value and hash(RatFunc(value)) == hash(value)
         assert RatFunc(2 * H, 2) == H and hash(RatFunc(2 * H, 2)) == hash(H)
         assert len({RatFunc(Poly.constant(3)), 3}) == 1
+
+    def test_parts_of_other_types_are_a_type_error(self):
+        with pytest.raises(TypeError):
+            RatFunc(H, "x")
+        with pytest.raises(TypeError):
+            RatFunc("x")
 
     def test_sigma_on_ratfunc(self):
         h = RatFunc(H, H + 1)
