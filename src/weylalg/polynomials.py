@@ -247,7 +247,8 @@ class Poly:
 
     @staticmethod
     def constant(c) -> "Poly":
-        c = _as_fraction(c)
+        if type(c) is not int:
+            c = _as_fraction(c)
         return _poly([c.numerator], c.denominator)
 
     @staticmethod
@@ -295,10 +296,10 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
         a, b = self._den, other._den
         if a == b:
             return _poly(_add(self._c, other._c), a)
@@ -313,21 +314,20 @@ class Poly:
         return _stored(tuple(-a for a in self._c), self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return _poly(_mul(self._c, [c.numerator]), self._den * c.denominator)
-        if not isinstance(other, Poly):
-            return NotImplemented
+        if type(other) is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return _poly(_mul(self._c, [other.numerator]), self._den * other.denominator)
         # structure_constant returns the shared _ONE for most degree pairs
         if other is _ONE:
             return self
@@ -337,16 +337,45 @@ class Poly:
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def sum_of_products(terms) -> "Poly":
+        """The sum of f * g * c over a nonempty list of triples (f, g, c) of Polys.
+
+        The products are summed on integer lists over one common
+        denominator, and only the sum is put in canonical form.
+        """
+        acc = None
+        for f, g, c in terms:
+            p = _mul(f._c, g._c)
+            if c is not _ONE:
+                p = _mul(p, c._c)
+            d = f._den * g._den * c._den
+            if acc is None:
+                acc, den = p, d
+                continue
+            if d != den:
+                common = lcm(den, d)
+                if common != den:
+                    acc = _mul(acc, [common // den])
+                    den = common
+                if common != d:
+                    p = _mul(p, [common // d])
+            if len(p) > len(acc):
+                acc, p = p, acc
+            for e, a in enumerate(p):
+                acc[e] += a
+        return _poly(acc, den)
+
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
         return _power(self, n) if n else _ONE
 
     def __divmod__(self, other: "Poly"):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
         # s F = Q G + R gives F/a = (Q b / (s a)) (G/b) + R / (s a)
         q, r, s = _pseudo_divmod(self._c, other._c)
         den = s * self._den
@@ -359,10 +388,10 @@ class Poly:
         return divmod(self, other)[1]
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
         return self._c == other._c and self._den == other._den
 
     def __hash__(self):
@@ -560,6 +589,17 @@ class RatFunc:
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def sum_of_products(terms) -> "RatFunc":
+        """The sum of f * g * c over a nonempty list of triples (f, g, c); c may be a Poly."""
+        total = None
+        for f, g, c in terms:
+            p = f * g
+            if c is not _ONE:
+                p = p * c
+            total = p if total is None else total + p
+        return total
+
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -691,10 +731,15 @@ def rising_product(m: int) -> Poly:
 
 def falling_window(start: int, count: int) -> Poly:
     """(H - start)(H - start + 1) ... (H - start + count - 1)."""
-    result = [1]
+    r = [1]
     for j in range(count):
-        result = _mul(result, [j - start, 1])
-    return _poly(result)
+        # multiply r by H + c in place, from the top down
+        c = j - start
+        r.append(r[-1])
+        for i in range(len(r) - 2, 0, -1):
+            r[i] = r[i - 1] + c * r[i]
+        r[0] *= c
+    return _poly(r)
 
 
 def clear_denominators(f: Poly) -> tuple[Fraction, list[int]]:

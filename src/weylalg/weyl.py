@@ -10,6 +10,17 @@ Y*X = H and X*Y = H - 1); BElement carries RatFunc coefficients (the skew
 Laurent localization at Q[H] \\ {0}).  Multiplication is driven by the
 structure constants (n, m) defined by  v_n v_m = (n, m) v_{n+m}.
 
+GradedElement.__mul__ is the one product loop of both classes.  Since
+v_i g = sigma^i(g) v_i, the product of f_i v_i and g_j v_j is
+f_i sigma^i(g_j) (i, j) v_{i+j}.  The loop collects the triples
+(f_i, sigma^i(g_j), (i, j)) of each output degree k = i + j and hands them
+to the coefficient ring's sum_of_products, which puts only the sum in
+canonical form: Poly sums the integer products over one common
+denominator, and RatFunc adds its products with its own operators.  Sums,
+negations and scalar multiples build their results directly from
+components already nonzero and of the element's ring; only the public
+constructor coerces and re-adds what it is given.
+
 HomogeneousElement is the X-power presentation coeff * X**degree used by
 the centralizer machinery; for negative degrees it differs from the v-basis
 by the unit Y^m = H (H+1) ... (H+m-1) X^(-m).
@@ -91,7 +102,14 @@ class GradedElement:
                 comp[degree] = c
             elif degree in comp:
                 del comp[degree]
-        object.__setattr__(self, "_comp", comp)
+        self._comp = comp
+
+    @classmethod
+    def _canonical(cls, comp: dict):
+        """The element with components comp: nonzero coefficients of cls's ring, not copied."""
+        element = object.__new__(cls)
+        element._comp = comp
+        return element
 
     # -- inspection --------------------------------------------------------
 
@@ -121,34 +139,44 @@ class GradedElement:
         if isinstance(value, GradedElement):
             return value
         if isinstance(value, (int, Fraction, Poly)):
-            return cls({0: value}) if value else cls()
+            return cls._canonical({0: cls._coerce(value)} if value else {})
         if isinstance(value, RatFunc):
-            return BElement({0: value}) if value else BElement()
+            return BElement._canonical({0: value} if value else {})
         return None
 
     @staticmethod
     def _join(a, b):
-        if isinstance(a, BElement) or isinstance(b, BElement):
-            return BElement, a.to_b() if isinstance(a, WeylElement) else a, (
-                b.to_b() if isinstance(b, WeylElement) else b
-            )
-        return WeylElement, a, b
+        """a and b in their common class: BElement if either is one."""
+        if type(a) is type(b):
+            return a, b
+        return a.to_b(), b.to_b()
 
     def __add__(self, other):
         o = self._promote(other)
         if o is None:
             return NotImplemented
-        cls, a, b = self._join(self, o)
+        a, b = self._join(self, o)
         if not a._comp:
             return b
         if not b._comp:
             return a
-        return cls(list(a._comp.items()) + list(b._comp.items()))
+        comp = dict(a._comp)
+        for k, g in b._comp.items():
+            f = comp.get(k)
+            if f is None:
+                comp[k] = g
+            else:
+                f = f + g
+                if f:
+                    comp[k] = f
+                else:
+                    del comp[k]
+        return a._canonical(comp)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)({i: -c for i, c in self._comp.items()})
+        return self._canonical({i: -c for i, c in self._comp.items()})
 
     def __sub__(self, other):
         o = self._promote(other)
@@ -160,34 +188,44 @@ class GradedElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # central scalars act componentwise; H-coefficients must pass
-            # through the shift, so they take the general product below
-            if not other:
-                return type(self)()
-            if other == 1:
-                return self
-            return type(self)({i: c * other for i, c in self._comp.items()})
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        cls, a, b = self._join(self, o)
-        acc = {}
+        if not isinstance(other, GradedElement):
+            if isinstance(other, (int, Fraction)):
+                # central scalars act componentwise; H-coefficients must pass
+                # through the shift, so they take the general product below
+                if not other:
+                    return self._canonical({})
+                if other == 1:
+                    return self
+                return self._canonical({i: c * other for i, c in self._comp.items()})
+            other = self._promote(other)
+            if other is None:
+                return NotImplemented
+        a, b = self._join(self, other)
+        # the terms of each output degree k, summed once by the coefficient ring
+        terms = {}
         for i, f in a._comp.items():
             for j, g in b._comp.items():
-                term = f * sigma_pow(g, i) * structure_constant(i, j)
+                term = (f, g.sigma(i) if i else g, structure_constant(i, j))
                 k = i + j
-                if k in acc:
-                    acc[k] = acc[k] + term
+                if k in terms:
+                    terms[k].append(term)
                 else:
-                    acc[k] = term
-        return cls(acc)
+                    terms[k] = [term]
+        sum_of_products = a._ring.sum_of_products
+        comp = {}
+        for k, ts in terms.items():
+            c = sum_of_products(ts)
+            if c:
+                comp[k] = c
+        return a._canonical(comp)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
             # a degree-0 factor on the left needs no shift:
             # f * sum g_j v_j = sum (f g_j) v_j
-            return type(self)({j: other * g for j, g in self._comp.items()})
+            if not other:
+                return self._canonical({})
+            return self._canonical({j: other * g for j, g in self._comp.items()})
         if isinstance(other, RatFunc):
             # a rational coefficient makes the product a BElement
             return self._promote(other) * self
@@ -202,7 +240,7 @@ class GradedElement:
         o = self._promote(other)
         if o is None:
             return NotImplemented
-        _, a, b = self._join(self, o)
+        a, b = self._join(self, o)
         return a._comp == b._comp
 
     def __hash__(self):
@@ -234,6 +272,7 @@ class WeylElement(GradedElement):
 
     __slots__ = ()
     _coerce = staticmethod(_coerce_poly)
+    _ring = Poly
 
     def to_b(self) -> "BElement":
         return BElement({i: RatFunc(c) for i, c in self._comp.items()})
@@ -250,6 +289,7 @@ class BElement(GradedElement):
 
     __slots__ = ()
     _coerce = staticmethod(_coerce_ratfunc)
+    _ring = RatFunc
 
     def to_b(self) -> "BElement":
         return self

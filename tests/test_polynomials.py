@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylalg import NEG_INF, DomainError, Poly, RatFunc, delta_op, monic_split, rat_deg, sigma_pow
-from weylalg.polynomials import clear_denominators
+from weylalg.polynomials import clear_denominators, falling_window
 from helpers import random_poly, random_ratfunc
 
 H = Poly.gen()
@@ -71,6 +71,7 @@ def eval_terms(f: Poly, x):
 # rational coefficients over mixed denominators, degrees up to 40
 rationals = st.fractions(min_value=-60, max_value=60, max_denominator=30)
 coeff_lists = st.lists(rationals, max_size=41)
+short_lists = st.lists(rationals, max_size=6)
 points = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=2, max_size=2)
 KERNEL = settings(max_examples=120, deadline=None)
 
@@ -127,6 +128,20 @@ class TestKernelProperties:
         else:
             assert (scale, dense) == (0, [])
 
+    @given(st.lists(st.tuples(short_lists, short_lists, st.one_of(st.none(), short_lists)),
+                    min_size=1, max_size=4))
+    @KERNEL
+    def test_sum_of_products(self, triples):
+        # c = None stands for the shared Poly.one() that most structure constants are
+        terms = [(Poly(enumerate(cf)), Poly(enumerate(cg)), Poly.one() if cc is None else Poly(enumerate(cc)))
+                 for cf, cg, cc in triples]
+        expected = Poly.zero()
+        for f, g, c in terms:
+            expected = expected + f * g * c
+        got = Poly.sum_of_products(terms)
+        assert got == expected and hash(got) == hash(expected)
+        assert got.terms == expected.terms
+
     @given(coeff_lists)
     @KERNEL
     def test_terms_round_trip(self, cf):
@@ -173,6 +188,16 @@ class TestSigma:
             f = random_poly(rng, 5, 8, nonzero=True)
             i = rng.randint(-6, 6)
             assert sigma_pow(f, i).degree == f.degree
+
+
+def test_falling_window_is_product_of_linear_factors():
+    # (H - start)(H - start + 1) ... (H - start + count - 1)
+    for start in range(-5, 6):
+        for count in range(9):
+            expected = Poly.one()
+            for j in range(count):
+                expected = expected * Poly.linear(j - start)
+            assert falling_window(start, count) == expected
 
 
 class TestDelta:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylalg import (
     NEG_INF,
@@ -331,3 +332,100 @@ class TestElementBasics:
             left = v(k) * WeylElement({0: f})
             right = WeylElement({k: sigma_pow(f, k)})
             assert left == right
+
+
+small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+small_polys = st.lists(small_rats, max_size=4).map(lambda cs: Poly(enumerate(cs)))
+small_ratfuncs = st.builds(RatFunc, small_polys, small_polys.filter(bool))
+weyl_elements = st.dictionaries(st.integers(-3, 3), small_polys, max_size=3).map(WeylElement)
+b_elements = st.dictionaries(st.integers(-3, 3), small_ratfuncs, max_size=3).map(BElement)
+elements = st.one_of(weyl_elements, b_elements)
+scalars = st.one_of(st.integers(-3, 3), small_rats, st.booleans(), small_polys, small_ratfuncs)
+
+
+def assert_canonical(r, rational):
+    """r stores only nonzero coefficients of its own ring and equals its rebuild."""
+    assert type(r) is (BElement if rational else WeylElement)
+    ring = RatFunc if rational else Poly
+    for _, c in r.components():
+        assert type(c) is ring and c
+    rebuilt = type(r)(r.components())
+    assert rebuilt == r and hash(rebuilt) == hash(r)
+    assert rebuilt.components() == r.components()
+
+
+class TestCanonicalResults:
+    @given(elements, elements, elements, scalars)
+    @settings(max_examples=150, deadline=None)
+    def test_sums_differences_and_products(self, a, b, c, s):
+        rational = isinstance(a, BElement) or isinstance(b, BElement)
+        for r in (a + b, a - b, b - a, a * b, b * a, (a + b) * (a - b), a * b - b * a,
+                  (a * b) * c - a * (b * c)):
+            assert_canonical(r, rational or isinstance(r, BElement))
+        for r in (a - a, 0 * a, a * 0, Poly.zero() * a, a * Poly.zero(), -a + a):
+            assert r.is_zero()
+            assert_canonical(r, isinstance(a, BElement))
+        assert_canonical(-a, isinstance(a, BElement))
+        zero = RatFunc(0) * a
+        assert zero.is_zero()
+        assert_canonical(zero, True)
+        rational = isinstance(a, BElement) or isinstance(s, RatFunc)
+        for r in (s * a, a * s, s + a, a + s, s - a, a - s):
+            assert_canonical(r, rational or isinstance(r, BElement))
+
+    @given(elements, elements)
+    @settings(max_examples=150, deadline=None)
+    def test_weyl_and_rational_products_agree(self, a, b):
+        # the Poly and the RatFunc sums of products give the same element
+        assert a.to_b() * b.to_b() == (a * b).to_b()
+
+
+class TestScalarOperands:
+    """The results of scalar operands on either side, as pinned here."""
+
+    a = X + Hp * Y - 2  # v_1 + H v_-1 - 2
+
+    def test_central_scalars(self):
+        a = self.a
+        for k, expected in (
+            (3, WeylElement({1: 3, -1: 3 * Hp, 0: -6})),
+            (F(1, 2), WeylElement({1: F(1, 2), -1: Hp * F(1, 2), 0: -1})),
+            (True, a),
+            (False, ZERO),
+            (0, ZERO),
+        ):
+            for r in (k * a, a * k):
+                assert r == expected and type(r) is WeylElement
+            for r in (k * a.to_b(), a.to_b() * k):
+                assert r == expected.to_b() and type(r) is BElement
+        assert a + 3 == 3 + a == WeylElement({1: 1, -1: Hp, 0: 1})
+        assert a - 3 == WeylElement({1: 1, -1: Hp, 0: -5})
+        assert 3 - a == WeylElement({1: -1, -1: -Hp, 0: 5})
+        assert True + a == a + 1 and type(True + a) is WeylElement
+
+    def test_polynomial_coefficients(self):
+        a = self.a
+        # a degree-0 factor on the left multiplies each component
+        assert Hp * a == WeylElement({1: Hp, -1: Hp * Hp, 0: -2 * Hp})
+        # on the right it passes through the shift: v_k f = sigma^k(f) v_k
+        assert a * Hp == WeylElement({1: Hp - 1, -1: Hp * (Hp + 1), 0: -2 * Hp})
+        assert type(Hp * a) is type(a * Hp) is WeylElement
+        assert Hp + a == a + Hp == WeylElement({1: 1, -1: Hp, 0: Hp - 2})
+        assert (Hp - a) == -(a - Hp) == WeylElement({1: -1, -1: -Hp, 0: Hp + 2})
+        for r in (Poly.zero() * a, a * Poly.zero()):
+            assert r == ZERO and type(r) is WeylElement
+
+    def test_rational_coefficients(self):
+        a = self.a
+        r = RatFunc(Poly.one(), Hp)  # 1/H
+        assert r * a == BElement({1: r, -1: RatFunc(Poly.one()), 0: RatFunc(Poly.constant(-2), Hp)})
+        assert a * r == BElement({
+            1: RatFunc(Poly.one(), Hp - 1),
+            -1: RatFunc(Hp, Hp + 1),
+            0: RatFunc(Poly.constant(-2), Hp),
+        })
+        assert a + r == r + a == BElement({1: 1, -1: Hp, 0: RatFunc(1 - 2 * Hp, Hp)})
+        for x in (r * a, a * r, a + r, r + a, a - r, r - a):
+            assert type(x) is BElement
+        for x in (RatFunc(0) * a, a * RatFunc(0)):
+            assert x == ZERO and type(x) is BElement
