@@ -14,33 +14,46 @@ MAX_EXPONENT, and integer literals have at most sys.get_int_max_str_digits()
 digits (Python's int-to-str limit, 4300 by default); text beyond any of
 these limits raises ParseError.
 
-normalize() evaluates a tree bottom-up and keeps each subtree's value in the
-smallest of Q, Q[H] and the Weyl algebra that holds it: literals are
-Fractions, H is a Poly, and a value becomes a WeylElement only once X or Y
-appears.  Q[H] is the commutative degree-0 part, so sums, products and powers
-there need no shift.  A power of one letter has a closed form (X^e = v_e,
-Y^e = v_-e, H^e the monomial), and a degree-0 factor on the left of an
-element multiplies its components (GradedElement.__rmul__); only a product
-whose left factor is an element goes through the graded product.  The value
-is lifted to a WeylElement once, at the end.  The printers give the
-canonical text form, which parses back to the same element.
+One recursive-descent parser reads the text and hands each node it
+recognizes to a builder.  parse() passes the tree builder and returns the
+free expression tree.  normalize_text() passes the value builder, so it
+evaluates while it parses and builds no tree; normalize() walks a tree
+through the same value builder, so the evaluation rules exist once.
+
+The value builder keeps each subtree's value in the smallest of Q, Q[H] and
+the Weyl algebra that holds it: literals are Fractions, H is a Poly, and a
+value becomes a WeylElement only once X or Y appears.  Q[H] is the
+commutative degree-0 part, so sums, products and powers there need no
+shift, and a sum of Q[H] terms is added on one integer list and put in
+canonical form once.  A power of one letter has a closed form (X^e = v_e,
+Y^e = v_-e, H^e the monomial; the one of the letter's ring for e = 0), and a
+degree-0 factor on the left of an element multiplies its components
+(GradedElement.__rmul__); only a product whose left factor is an element
+goes through the graded product.  The value is lifted to a WeylElement once,
+at the end.  The printers give the canonical text form, which parses back to
+the same element.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
 from .errors import ParseError
-from .polynomials import Poly, poly_from_int_coeffs
+from .polynomials import Poly, poly_from_int_coeffs, poly_sum
 from .weyl import X, Y, WeylElement
 
 MAX_EXPONENT = 10_000
 # deepest parenthesis nesting accepted; parsing and evaluation recurse on it
 MAX_NESTING = 100
+
+_H = Poly.gen()
+_ONE = Poly.one()
+_LETTERS = {"X": X, "Y": Y, "H": _H}
 
 
 # ----------------------------------------------------------------------
@@ -82,182 +95,211 @@ class Lit:
 # lexer / parser
 # ----------------------------------------------------------------------
 
-_PUNCT = {"+", "-", "*", "^", "(", ")", "/"}
+# a token: a run of decimal digits or one other character that is not
+# whitespace (\d and \s are str.isdecimal and str.isspace)
+_TOKEN = re.compile(r"\d+|\S")
+_SYMBOLS = frozenset("XYH+-*^()/")
+# the characters of the usual text, which need no further test
+_PLAIN = _SYMBOLS | frozenset("0123456789 ")
 
 
 def _tokenize(text):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch in "XYH":
-            tokens.append(("sym", ch, i))
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
+    """The tokens of text, then "" for its end; a stray character raises ParseError."""
+    if not _PLAIN.issuperset(text):
+        stray = [c for c in set(text) - _SYMBOLS if not (c.isspace() or c.isdecimal())]
+        if stray:
+            pos = min(map(text.index, stray))
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
     return tokens
 
 
-def _int(tok):
-    try:
-        return int(tok[1])
-    except ValueError:  # the only ValueError int() raises on a decimal string
-        raise ParseError(
-            f"integer literal has more than {sys.get_int_max_str_digits()} digits", tok[2]
-        ) from None
+def _positions(text):
+    """The position of each token of text, then len(text); read only for an error."""
+    return [match.start() for match in _TOKEN.finditer(text)] + [len(text)]
 
 
 class _Parser:
-    def __init__(self, text):
+    """Recursive descent over the tokens of one text; build makes every node."""
+
+    def __init__(self, text, build):
+        self.text = text
         self.tokens = _tokenize(text)
-        self.pos = 0
+        self.i = 0
         self.depth = 0
+        self.build = build
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def error(self, message, i):
+        return ParseError(message, _positions(self.text)[i])
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def parse(self):
+        node = self.expr()
+        token = self.tokens[self.i]
+        if token:
+            raise self.error(f"expected 'end', found {token!r}", self.i)
+        return node
 
-    def expect(self, kind):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
+    def integer(self):
+        """The value of the next token, which must be a run of decimal digits."""
+        i = self.i
+        self.i = i + 1
+        token = self.tokens[i]
+        if not token.isdecimal():
+            raise self.error(f"expected 'int', found {token!r}", i)
+        try:
+            return int(token)
+        except ValueError:  # the only ValueError int() raises on a decimal string
+            raise self.error(
+                f"integer literal has more than {sys.get_int_max_str_digits()} digits", i
+            ) from None
 
-    def parse_expr(self):
-        terms = []
-        sign = 1
-        if self.peek()[0] in ("+", "-"):
-            sign = -1 if self.advance()[0] == "-" else 1
-        term = self.parse_term()
-        terms.append(Neg(term) if sign < 0 else term)
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            term = self.parse_term()
-            terms.append(Neg(term) if op == "-" else term)
-        if len(terms) == 1:
-            return terms[0]
+    def expr(self):
+        tokens, neg = self.tokens, self.build.neg
+        token = tokens[self.i]
+        if token == "+" or token == "-":
+            self.i += 1
+        terms = [neg(self.term()) if token == "-" else self.term()]
+        token = tokens[self.i]
+        while token == "+" or token == "-":
+            self.i += 1
+            terms.append(neg(self.term()) if token == "-" else self.term())
+            token = tokens[self.i]
+        return terms[0] if len(terms) == 1 else self.build.sum(terms)
+
+    def term(self):
+        tokens, factor = self.tokens, self.factor
+        factors = [factor()]
+        while tokens[self.i] == "*":
+            self.i += 1
+            factors.append(factor())
+        return factors[0] if len(factors) == 1 else self.build.product(factors)
+
+    def factor(self):
+        tokens, build = self.tokens, self.build
+        token = tokens[self.i]
+        if token in _LETTERS:
+            self.i += 1
+            base = build.sym(token)
+        elif token.isdecimal():
+            numerator = self.integer()
+            if tokens[self.i] == "/":
+                self.i += 1
+                i = self.i
+                denominator = self.integer()
+                if not denominator:
+                    raise self.error("zero denominator", i)
+                base = build.lit(Fraction(numerator, denominator))
+            else:
+                base = build.lit(Fraction(numerator))
+        elif token == "(":
+            if self.depth == MAX_NESTING:
+                raise self.error(f"parentheses nest deeper than the limit {MAX_NESTING}", self.i)
+            self.i += 1
+            self.depth += 1
+            base = self.expr()
+            if tokens[self.i] != ")":
+                raise self.error(f"expected ')', found {tokens[self.i]!r}", self.i)
+            self.i += 1
+            self.depth -= 1
+        else:
+            raise self.error(f"unexpected token {token!r}", self.i)
+        if tokens[self.i] != "^":
+            return base
+        self.i += 1
+        i = self.i
+        exponent = self.integer()
+        if exponent > MAX_EXPONENT:
+            raise self.error(f"exponent {exponent} exceeds the limit {MAX_EXPONENT}", i)
+        return build.power(base, exponent)
+
+
+class _Tree:
+    """Node builder for parse(): the free expression tree."""
+
+    sym, lit, neg, power = Sym, Lit, Neg, Power
+
+    @staticmethod
+    def sum(terms):
         return Sum(tuple(terms))
 
-    def parse_term(self):
-        factors = [self.parse_factor()]
-        while self.peek()[0] == "*":
-            self.advance()
-            factors.append(self.parse_factor())
-        if len(factors) == 1:
-            return factors[0]
+    @staticmethod
+    def product(factors):
         return Product(tuple(factors))
-
-    def parse_factor(self):
-        base = self.parse_base()
-        if self.peek()[0] == "^":
-            self.advance()
-            tok = self.expect("int")
-            exponent = _int(tok)
-            if exponent > MAX_EXPONENT:
-                raise ParseError(f"exponent {exponent} exceeds the limit {MAX_EXPONENT}", tok[2])
-            return Power(base, exponent)
-        return base
-
-    def parse_base(self):
-        tok = self.advance()
-        kind, value, pos = tok
-        if kind == "sym":
-            return Sym(value)
-        if kind == "int":
-            numerator = _int(tok)
-            if self.peek()[0] == "/":
-                self.advance()
-                dtok = self.expect("int")
-                denominator = _int(dtok)
-                if denominator == 0:
-                    raise ParseError("zero denominator", dtok[2])
-                return Lit(Fraction(numerator, denominator))
-            return Lit(Fraction(numerator))
-        if kind == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nest deeper than the limit {MAX_NESTING}", pos)
-            self.depth += 1
-            inner = self.parse_expr()
-            self.expect(")")
-            self.depth -= 1
-            return inner
-        raise ParseError(f"unexpected token {value!r}", pos)
 
 
 def parse(text: str):
     """Parse expression text into a free expression tree."""
-    parser = _Parser(text)
-    expr = parser.parse_expr()
-    parser.expect("end")
-    return expr
+    return _Parser(text, _Tree).parse()
 
 
 # ----------------------------------------------------------------------
 # evaluation to normal form
 # ----------------------------------------------------------------------
 
-_LETTERS = {"X": X, "Y": Y, "H": Poly.gen()}
+class _Values:
+    """Node builder for normalize_text() and normalize(): the value of each
+    node in the smallest of Q, Q[H], A_1 that holds it, a Fraction, a Poly or
+    a WeylElement."""
+
+    sym = staticmethod(_LETTERS.__getitem__)
+    neg = staticmethod(operator.neg)
+
+    @staticmethod
+    def lit(value):
+        return value
+
+    @staticmethod
+    def sum(terms):
+        kinds = set(map(type, terms))
+        if WeylElement in kinds:
+            return reduce(operator.add, terms)
+        total = poly_sum(terms)
+        return total if Poly in kinds else total.coeff(0)
+
+    @staticmethod
+    def product(factors):
+        return reduce(operator.mul, factors)
+
+    @staticmethod
+    def power(base, exponent):
+        # each letter evaluates to one shared object, so identity finds a letter's power
+        if base is X or base is Y:
+            return WeylElement._canonical({exponent if base is X else -exponent: _ONE})
+        if base is _H:
+            return poly_from_int_coeffs([0] * exponent + [1])
+        return base ** exponent
 
 
-def _letter_power(name: str, e: int):
-    """X^e = v_e, Y^e = v_(-e), H^e the monomial; 1 for e = 0."""
-    if not e:
-        return Fraction(1)
-    if name == "H":
-        return poly_from_int_coeffs([0] * e + [1])
-    return WeylElement({e if name == "X" else -e: 1})
+# how each tree node folds through the value builder
+_FOLD = {
+    Sym: lambda node: _Values.sym(node.name),
+    Lit: lambda node: _Values.lit(node.value),
+    Neg: lambda node: _Values.neg(_evaluate(node.arg)),
+    Sum: lambda node: _Values.sum([_evaluate(term) for term in node.terms]),
+    Product: lambda node: _Values.product([_evaluate(factor) for factor in node.factors]),
+    Power: lambda node: _Values.power(_evaluate(node.base), node.exponent),
+}
 
 
 def _evaluate(expr):
-    """The value of a tree in the smallest of Q, Q[H], A_1 that holds it:
-    a Fraction, a Poly or a WeylElement."""
-    if isinstance(expr, Sym):
-        return _LETTERS[expr.name]
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Neg):
-        return -_evaluate(expr.arg)
-    if isinstance(expr, Sum):
-        return reduce(operator.add, map(_evaluate, expr.terms))
-    if isinstance(expr, Product):
-        return reduce(operator.mul, map(_evaluate, expr.factors))
-    if isinstance(expr, Power):
-        if isinstance(expr.base, Sym):
-            return _letter_power(expr.base.name, expr.exponent)
-        return _evaluate(expr.base) ** expr.exponent
-    raise TypeError(f"not a free expression node: {type(expr).__name__}")
+    """The value of a free tree, folded through the value builder."""
+    fold = _FOLD.get(type(expr))
+    if fold is None:
+        raise TypeError(f"not a free expression node: {type(expr).__name__}")
+    return fold(expr)
 
 
 def normalize(expr) -> WeylElement:
     """Evaluate a free expression tree to graded normal form."""
     # the recursion stays in _evaluate, so a wrapper around normalize
     # (such as a tracing span) sees one call per tree
-    value = _evaluate(expr)
-    return value if isinstance(value, WeylElement) else WeylElement({0: value})
+    return WeylElement._promote(_evaluate(expr))
 
 
 def normalize_text(text: str) -> WeylElement:
-    return normalize(parse(text))
+    """Evaluate expression text to graded normal form while parsing it."""
+    return WeylElement._promote(_Parser(text, _Values).parse())
 
 
 # ----------------------------------------------------------------------

@@ -570,7 +570,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return _ratfunc(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -642,7 +642,8 @@ class RatFunc:
     def sigma(self, i: int) -> "RatFunc":
         if i == 0:
             return self
-        return RatFunc(self.num.sigma(i), self.den.sigma(i))
+        # an integer shift keeps the parts coprime and the denominator monic
+        return _ratfunc(self.num.sigma(i), self.den.sigma(i))
 
     # -- serialization -----------------------------------------------------
 
@@ -675,6 +676,14 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.format()!r})"
+
+
+def _ratfunc(num: Poly, den: Poly) -> RatFunc:
+    """A RatFunc from parts already in canonical form: coprime, den monic."""
+    r = object.__new__(RatFunc)
+    object.__setattr__(r, "num", num)
+    object.__setattr__(r, "den", den)
+    return r
 
 
 def _poly_from_json(items: list) -> Poly:
@@ -750,6 +759,15 @@ def clear_denominators(f: Poly) -> tuple[Fraction, list[int]]:
     """
     content, dense = _primitive(f._c)
     return Fraction(content, f._den), dense
+
+
+def poly_sum(terms) -> Poly:
+    """The sum of a nonempty list of Polys and rationals, as one Poly.
+
+    Each term enters Poly.sum_of_products as the product t * 1 * 1, so the
+    terms are added on one integer list and put in canonical form once.
+    """
+    return Poly.sum_of_products([(t if type(t) is Poly else Poly.constant(t), _ONE, _ONE) for t in terms])
 
 
 def poly_from_int_coeffs(coeffs) -> Poly:

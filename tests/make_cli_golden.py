@@ -98,6 +98,33 @@ SMALL_RING = [
     "X^200*Y^200",
 ]
 
+# one text per ParseError path; their records also hold stderr, so each
+# message and position is pinned, not only the exit code
+PARSE_ERRORS = [
+    "X\u00b2",  # a digit that is not decimal: unexpected character
+    "X + \u00e9",  # a non-ASCII character that is not a space
+    "(X + Y",  # expected ')', found the end
+    "X^Y",  # expected an int, found a letter
+    "1/0",
+    "3/00*X",
+    "(X + 1)^99999",
+    "(" * 101 + "X" + ")" * 101,  # one past MAX_NESTING
+    "1" + "0" * 4300,  # one digit past Python's default int-to-str limit
+    "X^" + "1" * 4301,
+    "",
+    "   ",
+    "X Y",
+    "*X",
+    "X + * Y",
+]
+
+# text the parser accepts outside ASCII: Unicode decimal digits and spaces
+UNICODE_TEXT = [
+    "\u0663*X + \u0661/\u0662",  # Arabic-Indic 3*X + 1/2
+    "\uff12*Y^\uff13",  # fullwidth 2*Y^3
+    "X\u3000*\u00a0Y\u2003+\u2028H",
+]
+
 CERTIFY = [
     ("Y", "X"),
     ("2*Y + X^3 + 1", "1/2*X"),
@@ -141,11 +168,18 @@ def golden_calls():
     for expr in SMALL_RING:
         calls.append(["normalize", expr])
         calls.append(["normalize", expr, "--json"])
+    calls.extend(["normalize", text] for text in PARSE_ERRORS)
+    for text in UNICODE_TEXT:
+        calls.append(["normalize", text])
+        calls.append(["normalize", text, "--json"])
     return calls
 
 
 if __name__ == "__main__":
     with GOLDEN.open("w", encoding="utf-8") as handle:
         for argv in golden_calls():
-            code, stdout, _ = run_quiet(argv)
-            handle.write(json.dumps({"argv": argv, "code": code, "stdout": stdout}) + "\n")
+            code, stdout, stderr = run_quiet(argv)
+            record = {"argv": argv, "code": code, "stdout": stdout}
+            if argv[1:] and argv[1] in PARSE_ERRORS:
+                record["stderr"] = stderr
+            handle.write(json.dumps(record) + "\n")

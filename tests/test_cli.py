@@ -275,8 +275,10 @@ def _golden_records():
 def test_golden_calls_are_byte_stable():
     """Replay tests/cli_golden.jsonl (written by tests/make_cli_golden.py)."""
     for record in _golden_records():
-        code, out, _ = run_quiet(record["argv"])
+        code, out, err = run_quiet(record["argv"])
         assert (code, out) == (record["code"], record["stdout"]), record["argv"]
+        # the parse-error records pin the message and its position too
+        assert err == record.get("stderr", err), record["argv"]
 
 
 def test_golden_file_holds_the_generator_calls():

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -13,10 +15,24 @@ from weylalg import (
     parse,
     print_canonical,
 )
-from weylalg.parser import MAX_NESTING, Lit, Neg, Power, Product, Sum, Sym, format_pretty
+from weylalg.parser import (
+    MAX_NESTING,
+    Lit,
+    Neg,
+    Power,
+    Product,
+    Sum,
+    Sym,
+    _Parser,
+    _positions,
+    _tokenize,
+    _Values,
+    format_pretty,
+)
 from weylalg.weyl import H, ONE, X, Y
 from helpers import random_weyl
 from rewrite_oracle import rewrite_normalize, rewrite_normalize_text
+from tokenize_oracle import tokenize as reference_tokenize
 
 Hp = Poly.gen()
 
@@ -68,6 +84,48 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("X Y")
+
+
+# text drawn from decimal digits (ASCII, Arabic-Indic, fullwidth), the
+# grammar's symbols, Unicode spaces, and junk: digits that are not decimal
+# (superscript two, one half), other letters, and any character at all
+_text_chars = st.one_of(
+    st.sampled_from("0123456789\u0661\u0663\uff12"),
+    st.sampled_from("XYH+-*^()/"),
+    st.sampled_from(" \t\n\x0b\x1c\u00a0\u2003\u2028\u3000"),
+    st.sampled_from("\u00b2\u00bdZxh.,_\u00e9\u200b"),
+    st.characters(),
+)
+
+
+def _kind(token):
+    """The reference tokenizer's kind of a token text."""
+    if not token:
+        return "end"
+    if token.isdecimal():
+        return "int"
+    return "sym" if token in "XYH" else token
+
+
+class TestTokenizer:
+    @given(st.lists(_text_chars, max_size=24).map("".join))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_character_loop(self, text):
+        try:
+            expected = reference_tokenize(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                _tokenize(text)
+            assert (str(err.value), err.value.position) == (str(exc), exc.position)
+            return
+        tokens, positions = _tokenize(text), _positions(text)
+        assert len(tokens) == len(positions)
+        assert [(_kind(token), token, pos) for token, pos in zip(tokens, positions)] == expected
+
+    def test_regex_classes_are_the_str_predicates(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\d", every) == [c for c in every if c.isdecimal()]
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
 
 
 # small free trees over every node kind: literals (zero included), the three
@@ -165,6 +223,51 @@ class TestNormalize:
                 continue
             product = rewrite_normalize_text(f"({ea})*({eb})")
             assert product == rewrite_normalize_text(ea) * rewrite_normalize_text(eb)
+
+
+def _text(tree):
+    """Text that parses to the value of a free tree: every compound node in
+    parentheses, a negated term of a sum after a binary minus."""
+    kind = type(tree)
+    if kind is Sym:
+        return tree.name
+    if kind is Lit:
+        return f"({tree.value.numerator}/{tree.value.denominator})"
+    if kind is Neg:
+        return f"(-{_text(tree.arg)})"
+    if kind is Power:
+        return f"({_text(tree.base)}^{tree.exponent})"
+    if kind is Product:
+        return "(" + "*".join(map(_text, tree.factors)) + ")"
+    parts = []
+    for term in tree.terms:
+        sign = " - " if type(term) is Neg else " + "
+        parts.append(sign + _text(term.arg if sign == " - " else term))
+    return "(" + "".join(parts).removeprefix(" + ").lstrip() + ")"
+
+
+class TestReader:
+    @given(free_trees)
+    @settings(max_examples=300, deadline=None)
+    def test_evaluating_while_parsing_matches_the_tree_walk(self, tree):
+        text = _text(tree)
+        assert normalize_text(text) == normalize(parse(text)) == normalize(tree)
+        # before the final lift the value lies in the smallest ring the letters allow
+        value = _Parser(text, _Values).parse()
+        if "X" in text or "Y" in text:
+            assert type(value) is WeylElement
+        elif "H" in text:
+            assert type(value) is Poly
+        else:
+            assert type(value) is F
+
+    @pytest.mark.parametrize("text", ["X^0", "Y^0", "H^0", "(X)^3", "(1*H)^2", "2*(3 - 3)*X"])
+    def test_letter_powers_and_zero(self, text):
+        assert normalize_text(text) == normalize(parse(text)) == rewrite_normalize_text(text)
+
+    def test_normalize_rejects_other_objects(self):
+        with pytest.raises(TypeError, match="not a free expression node: str"):
+            normalize(Sum((Sym("X"), "Y")))
 
 
 class TestPrint:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylalg import NEG_INF, DomainError, Poly, RatFunc, delta_op, monic_split, rat_deg, sigma_pow
-from weylalg.polynomials import clear_denominators, falling_window
+from weylalg.polynomials import clear_denominators, falling_window, poly_sum
 from helpers import random_poly, random_ratfunc
 
 H = Poly.gen()
@@ -142,6 +142,17 @@ class TestKernelProperties:
         assert got == expected and hash(got) == hash(expected)
         assert got.terms == expected.terms
 
+    @given(st.lists(st.one_of(rationals, short_lists), min_size=1, max_size=5))
+    @KERNEL
+    def test_poly_sum(self, parts):
+        # a list stands for a Poly, a bare rational for itself
+        terms = [Poly(enumerate(p)) if isinstance(p, list) else p for p in parts]
+        expected = Poly.zero()
+        for t in terms:
+            expected = expected + t
+        got = poly_sum(terms)
+        assert got == expected and got.terms == expected.terms
+
     @given(coeff_lists)
     @KERNEL
     def test_terms_round_trip(self, cf):
@@ -273,6 +284,16 @@ class TestRatFunc:
             RatFunc(H, "x")
         with pytest.raises(TypeError):
             RatFunc("x")
+
+    @given(short_lists, short_lists.filter(any), st.integers(-6, 6))
+    @KERNEL
+    def test_negation_and_shift_keep_the_canonical_form(self, cn, cd, i):
+        # both build their result without the gcd; the public constructor reduces it again
+        r = RatFunc(Poly(enumerate(cn)), Poly(enumerate(cd)))
+        for got, (num, den) in ((-r, (-r.num, r.den)), (r.sigma(i), (r.num.sigma(i), r.den.sigma(i)))):
+            want = RatFunc(num, den)
+            assert (got.num, got.den) == (want.num, want.den)
+            assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
 
     def test_sigma_on_ratfunc(self):
         h = RatFunc(H, H + 1)
