@@ -9,8 +9,10 @@ one generator at a time:
   * a mass-1 partner is normalized by grading flips and pair swaps until it
     is a scalar multiple of X, after which the complement is peeled into
     triangular generators;
-  * a mass-2 / mass-2 pair has proportional top parts, and subtracting the
-    ratio drops one mass, tracked as a PhiY(1, ratio) factor.
+  * a mass-2 / mass-2 pair needs no rule of its own.  The degree lemma
+    (1 - sigma^s)(H^e) = e*s*H^(e-1) + lower terms shows that a pair on
+    the supports {-k, k} commutes to 1 only when k = 1 and its coefficients
+    are constants, an affine pair (the proof is at the end of _reduce).
 
 Every certificate is verified before it is returned: its images of X and
 Y, composed once, must equal (Q, P).
@@ -37,7 +39,7 @@ from fractions import Fraction
 from .errors import DomainError, OutOfScopeError
 from .parser import format_pretty
 from .polynomials import Poly, delta_op, rat_to_str
-from .tame import AutoWord, PhiX, PhiY, Torus, Translate, Xi, affine_decompose, auto_images
+from .tame import AutoWord, PhiX, Torus, Translate, Xi, affine_decompose, auto_images
 from .weyl import (
     ONE,
     WeylElement,
@@ -114,22 +116,18 @@ def _reduce(P: WeylElement, Q: WeylElement, depth: int) -> AutoWord:
         # swap through [P, Q] = [-Q, P]: certify (-Q, P), precompose xi^-1
         sub = _reduce(-Q, P, depth + 1)
         return AutoWord((Torus(Fraction(-1)), Xi())) + sub
-    comps_p = P.components()
-    comps_q = Q.components()
-    if len(comps_p) != 2 or len(comps_q) != 2:
-        raise _internal(f"unexpected masses {mass(P)}, {mass(Q)}")
-    (low_p, _), (top_p, f_top) = comps_p
-    (low_q, _), (top_q, g_top) = comps_q
-    if low_p != -top_p or low_q != low_p or top_q != top_p:
-        raise _internal("mass-2 pair without symmetric matching support")
-    ratio = g_top.lc / f_top.lc
-    if g_top != f_top * ratio:
-        raise _internal("top components are not proportional")
-    reduced = Q - P * ratio
-    if reduced.is_zero():
-        raise _internal("pair is proportional, commutator cannot be 1")
-    sub = _reduce(P, reduced, depth + 1)
-    return AutoWord((PhiY(1, ratio),)) + sub
+    # Constants are peeled and neither side has mass 1, so an in-scope pair
+    # here has masses (2, 2), and no rule certifies it.  On the supports
+    # {-k, k}, P = f1 v_-k + f2 v_k and Q = g1 v_-k + g2 v_k, the +-2k
+    # components of [P, Q] vanish only if g_i = c_i f_i, since a
+    # sigma^k-invariant rational function is constant.  Then
+    # [P, Q] = (c1 - c2) (1 - sigma^-k)(f2 sigma^k(f1) (k, -k)), where the
+    # polynomial inside has degree deg f1 + deg f2 + k.  1 - sigma^-k lowers
+    # a positive degree by exactly one, so the commutator is a nonzero
+    # constant only when k = 1 and f1, f2 are constants: an affine pair,
+    # which the first rule certifies.  No input has reached this line on
+    # another support.
+    raise _internal(f"pair of masses {mass(P)}, {mass(Q)} has no mass-1 side")
 
 
 def _peel_mass_one(P: WeylElement, Q: WeylElement, depth: int) -> AutoWord:
@@ -148,16 +146,11 @@ def _peel_mass_one(P: WeylElement, Q: WeylElement, depth: int) -> AutoWord:
         raise _internal("Y-part of the partner does not match the scalar")
     remainder = P - WeylElement({-1: lam_inv})
     gens = []
-    const_term = Fraction(0)
     for i, f in remainder.components():
-        if i < 0 or not f.is_constant():
+        # _reduce peeled P's constant term, so the complement starts at X^1
+        if i < 1 or not f.is_constant():
             raise _internal("complement is not a polynomial in X")
-        if i == 0:
-            const_term = f.constant_value()
-        else:
-            gens.append(PhiX(i, f.constant_value() * lam_inv**i))
-    if const_term:
-        gens.append(Translate(Fraction(0), const_term))
+        gens.append(PhiX(i, f.constant_value() * lam_inv**i))
     if lam != 1:
         gens.append(Torus(lam))
     return AutoWord(tuple(gens))

@@ -125,6 +125,36 @@ def _cmd_apply(args):
     return _emit(args, apply_auto(word, normalize_text(args.expr)), format_pretty)
 
 
+# name: (handler, its arguments in help order, whether its positionals are
+# expressions, which may start with '-'); a bare string is a positional
+_JSON = ("--json", {"action": "store_true", "help": "canonical JSON output"})
+_BARE_JSON = ("--json", {"action": "store_true"})  # sweep, random-auto, apply: no help text
+_COMMANDS = {
+    "normalize": (_cmd_normalize, ("expr", _JSON), True),
+    "commute": (_cmd_commute, ("left", "right", _JSON), True),
+    "mass": (_cmd_mass, ("expr", _JSON), True),
+    "components": (_cmd_components, ("expr", _JSON), True),
+    "degree": (_cmd_degree, ("expr", _JSON), True),
+    "centralizer": (_cmd_centralizer, ("expr", _JSON), True),
+    "certify": (_cmd_certify, ("left", "right", _JSON), True),
+    "sweep": (_cmd_sweep, (
+        ("pattern", {"choices": ["case-ii", "case-iii", "case-v"]}),
+        ("--p", {"type": int, "default": 3}),
+        ("--q", {"type": int, "default": 3}),
+        ("--max-coeff-deg", {"type": int, "default": 2}),
+        _BARE_JSON,
+    ), False),
+    "random-auto": (_cmd_random_auto, (
+        ("--seed", {"type": int, "required": True}),
+        ("--word-len", {"type": int, "default": 4}),
+        ("--max-n", {"type": int, "default": 3}),
+        ("--coeff-height", {"type": int, "default": 5}),
+        _BARE_JSON,
+    ), False),
+    "apply": (_cmd_apply, ("word_file", "expr", _BARE_JSON), True),
+}
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         """A usage error is one line on stderr and exit 2, like a parse error."""
@@ -134,52 +164,13 @@ class _ArgumentParser(argparse.ArgumentParser):
 def build_arg_parser() -> argparse.ArgumentParser:
     top = _ArgumentParser(prog="weyl", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **arguments):
+    for name, (func, arguments, _) in _COMMANDS.items():
         cmd = sub.add_parser(name)
-        for arg_name, opts in arguments.items():
-            cmd.add_argument(arg_name, **opts)
-        cmd.add_argument("--json", action="store_true", help="canonical JSON output")
+        for argument in arguments:
+            flag, options = (argument, {}) if isinstance(argument, str) else argument
+            cmd.add_argument(flag, **options)
         cmd.set_defaults(func=func)
-        return cmd
-
-    add("normalize", _cmd_normalize, expr={})
-    add("commute", _cmd_commute, left={}, right={})
-    add("mass", _cmd_mass, expr={})
-    add("components", _cmd_components, expr={})
-    add("degree", _cmd_degree, expr={})
-    add("centralizer", _cmd_centralizer, expr={})
-    add("certify", _cmd_certify, left={}, right={})
-
-    sweep = sub.add_parser("sweep")
-    sweep.add_argument("pattern", choices=["case-ii", "case-iii", "case-v"])
-    sweep.add_argument("--p", type=int, default=3)
-    sweep.add_argument("--q", type=int, default=3)
-    sweep.add_argument("--max-coeff-deg", type=int, default=2)
-    sweep.add_argument("--json", action="store_true")
-    sweep.set_defaults(func=_cmd_sweep)
-
-    rand = sub.add_parser("random-auto")
-    rand.add_argument("--seed", type=int, required=True)
-    rand.add_argument("--word-len", type=int, default=4)
-    rand.add_argument("--max-n", type=int, default=3)
-    rand.add_argument("--coeff-height", type=int, default=5)
-    rand.add_argument("--json", action="store_true")
-    rand.set_defaults(func=_cmd_random_auto)
-
-    apply_cmd = sub.add_parser("apply")
-    apply_cmd.add_argument("word_file")
-    apply_cmd.add_argument("expr")
-    apply_cmd.add_argument("--json", action="store_true")
-    apply_cmd.set_defaults(func=_cmd_apply)
-
     return top
-
-
-# commands whose positional arguments are expressions (apply: a file, then one)
-_EXPRESSION_COMMANDS = {
-    "normalize", "commute", "mass", "components", "degree", "centralizer", "certify", "apply",
-}
 
 
 def _expressions_after_dashes(argv):
@@ -190,7 +181,7 @@ def _expressions_after_dashes(argv):
     the only options are -h and long ones (--json, --help), so every other
     argument is a positional; everything after a '--' already given is one.
     """
-    if not argv or argv[0] not in _EXPRESSION_COMMANDS:
+    if not argv or argv[0] not in _COMMANDS or not _COMMANDS[argv[0]][2]:
         return argv
     options, positionals = [], []
     rest = argv[1:]

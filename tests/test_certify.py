@@ -119,12 +119,16 @@ class TestRoundTrip:
         P, Q = apply_auto(tau, Y), apply_auto(tau, X)
         assert_certifies(P, Q)
 
-    def test_symmetric_mass_two_pair(self):
+    def test_affine_mass_two_pair(self):
+        # masses (2, 2) on the supports {-1, 1} with constant coefficients:
+        # an affine pair, the only kind on the supports {-k, k} with
+        # [P, Q] = 1, so the affine rule certifies it
         from weylalg import AutoWord, PhiY
 
         tau = AutoWord((PhiX(1, F(2)), PhiY(1, F(1, 2))))
         P, Q = apply_auto(tau, Y), apply_auto(tau, X)
         assert mass(P) == 2 and mass(Q) == 2
+        assert P.support() == Q.support() == {-1, 1}
         assert_certifies(P, Q)
 
     def test_constant_riders(self):
@@ -135,13 +139,41 @@ class TestRoundTrip:
         assert_certifies(P, Q)
 
 
+class TestMassTwoPairs:
+    """The degree lemma behind _reduce's last line: a pair of masses (2, 2)
+    on the supports {-k, k} with [P, Q] = 1 is affine."""
+
+    def test_commutator_is_a_shift_difference_of_known_degree(self):
+        # [f2 v_k, f1 v_-k] = (1 - sigma^-k)(f2 sigma^k(f1) (k, -k)), one
+        # degree below deg f1 + deg f2 + k, so it is constant only for
+        # k = 1 and constant f1, f2
+        from helpers import random_poly
+
+        rng = random.Random(16)
+        for _ in range(200):
+            f1 = random_poly(rng, 3, 6, nonzero=True)
+            f2 = random_poly(rng, 3, 6, nonzero=True)
+            k = rng.randint(1, 5)
+            inner = f2 * f1.sigma(k) * structure_constant(k, -k)
+            comm = commutator(WeylElement({k: f2}), WeylElement({-k: f1}))
+            assert comm == WeylElement({0: delta_op(inner, -k)}), (f1, f2, k)
+            assert delta_op(inner, -k).degree == f1.degree + f2.degree + k - 1
+
+    @pytest.mark.parametrize("P, Q", [("X^2 + Y^2", "X^2 - Y^2"), ("H*X + Y", "X + H*Y")])
+    def test_no_mass_one_side_is_an_internal_defect(self, P, Q):
+        with pytest.raises(RuntimeError, match="certifier internal defect"):
+            certify_module._reduce(normalize_text(P), normalize_text(Q), 0)
+
+
 class TestDeltaBalance:
     def test_zero(self):
         assert delta_balance_check(Poly.zero(), Poly.zero(), 1, 1).is_zero()
+        assert delta_balance_check(3, F(5, 2), 1, 2).is_zero()
 
     def test_linear_sign_exact(self):
         # (1 - sigma^-1)(H) = H - (H + 1) = -1, recorded exactly
         assert delta_balance_check(Hp, Poly.zero(), 1, 1) == Poly.constant(-1)
+        assert delta_balance_check(Hp, 0, 1, 1) == Poly.constant(-1)
 
     def test_degree_obstruction(self):
         # unequal forced degrees leave a nonconstant value

@@ -136,6 +136,12 @@ class TestApplyCommand:
         assert (code, out) == (3, "")
         assert message in err
 
+    def test_missing_word_file_exit_3(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, out, err = run_cli(capsys, "apply", str(missing), "Y")
+        assert (code, out) == (3, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
 
 class TestCentralizerCommand:
     def test_homogeneous_json(self, capsys):

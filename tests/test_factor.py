@@ -5,7 +5,7 @@ from math import gcd, isqrt, prod
 import pytest
 
 from weylalg import DomainError, Poly, RatFunc, factor_poly, factor_ratfunc, is_irreducible
-from weylalg.factor import _gf_ddf, _gf_edf
+from weylalg.factor import _gf_ddf, _gf_edf, _gf_gcd, _gf_gcdex
 from weylalg.polynomials import clear_denominators
 
 H = Poly.gen()
@@ -82,6 +82,7 @@ class TestExamples:
         result = factor_poly(Poly.constant(6))
         assert result.unit == 6
         assert result.factors == ()
+        assert (str(result), result.to_json()) == ("6", {"unit": "6/1", "factors": []})
 
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
@@ -168,12 +169,23 @@ def test_finite_field_splitting_against_sympy():
         checked += 1
 
 
+def test_finite_field_gcds_of_zero():
+    # s*f + t*g = h holds with h = 0, the gcd of two zero polynomials
+    assert _gf_gcd([], [0, 5], 5) == []
+    assert _gf_gcdex([], [5], 5) == ([1], [], [])
+
+
 class TestStructure:
     def test_multiplicities(self):
         f = (H - 1) ** 3 * (H**2 + 1) ** 2 * 7
         result = factor_poly(f)
         assert result.unit == 7
         assert result.exponent_map() == {H - 1: 3, H**2 + 1: 2}
+        assert str(result) == "7 * (H - 1)^3 * (H^2 + 1)^2"
+        assert result.to_json() == {
+            "unit": "7/1",
+            "factors": [[[[0, "-1/1"], [1, "1/1"]], 3], [[[0, "1/1"], [2, "1/1"]], 2]],
+        }
 
     def test_rational_coefficients(self):
         f = (H + F(1, 2)) * (H - F(2, 3)) * 6

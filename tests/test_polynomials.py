@@ -243,6 +243,8 @@ class TestRatFunc:
         assert h.den.is_monic()
         assert h.num == F(1, 2) * (H + 1)
         assert RatFunc(H**2 - 1, H - 1) == RatFunc(H + 1)
+        assert repr(h) == "RatFunc('(1/2*H + 1/2)/(H)')"
+        assert 1 - RatFunc(H, H + 1) == RatFunc(Poly.one(), H + 1)
 
     def test_rat_deg(self):
         assert rat_deg(RatFunc(H)) == 1
@@ -304,6 +306,7 @@ class TestMonicSplit:
     def test_factor_leading(self):
         lead, monic = monic_split(RatFunc(3 * H + 3))
         assert (lead, monic) == (F(3), RatFunc(H + 1))
+        assert monic_split(3 * H + 3) == (F(3), H + 1)
 
     def test_already_monic(self):
         assert monic_split(RatFunc(H)) == (F(1), RatFunc(H))
@@ -315,6 +318,8 @@ class TestMonicSplit:
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
             monic_split(RatFunc(Poly.zero()))
+        with pytest.raises(DomainError):
+            monic_split(Poly.zero())
 
     def test_split_reconstructs(self):
         rng = random.Random(16)

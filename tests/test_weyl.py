@@ -17,6 +17,7 @@ from weylalg import (
     components,
     in_skew_subalgebra,
     mass,
+    mul,
     normalize_text,
     sigma_pow,
     structure_constant,
@@ -82,6 +83,7 @@ class TestMul:
     def test_defining_relations(self):
         assert X * Y == WeylElement({0: Hp - 1})
         assert Y * X == H
+        assert mul(Y, X) == H
         assert commutator(Y, X) == ONE
 
     def test_h_times_x(self):
@@ -156,6 +158,8 @@ class TestGradingOps:
         assert mass(X + Y) == 2
         assert mass(Y * X - X * Y) == 1
         assert mass(ZERO) == 0
+        assert WeylElement({3: Hp**2}).is_homogeneous()
+        assert not (X + Y).is_homogeneous() and not ZERO.is_homogeneous()
 
     def test_components_sorted(self):
         a = WeylElement({2: 1, -1: Hp, 0: 3})
@@ -244,11 +248,15 @@ class TestHomogeneous:
             f = random_poly(rng, 3, 5, nonzero=True)
             u = HomogeneousElement.from_graded_component(i, f)
             assert u.to_graded() == BElement({i: RatFunc(f)})
+            assert HomogeneousElement.from_graded(WeylElement({i: f})) == u
+        with pytest.raises(DomainError, match="not homogeneous"):
+            HomogeneousElement.from_graded(X + Y)
 
     def test_negative_degree_unit(self):
         # Y = H X^-1, so the v-basis coefficient 1 at degree -1 becomes H
         u = HomogeneousElement.from_graded_component(-1, Poly.one())
         assert u.coeff == RatFunc(Hp)
+        assert (str(u), str(HomogeneousElement(0, RatFunc(Hp)))) == ("(H) * X^-1", "H")
         # Y^2 = H(H+1) X^-2
         u2 = HomogeneousElement.from_graded_component(-2, Poly.one())
         assert u2.coeff == RatFunc(Hp * (Hp + 1))
@@ -269,6 +277,15 @@ class TestElementBasics:
     def test_zero_handling(self):
         assert WeylElement({0: Poly.zero(), 2: 0}).is_zero()
         assert (X - X).is_zero()
+        assert not ZERO and X
+        # a repeated degree is summed, and a pair that cancels leaves nothing
+        assert WeylElement([(1, Hp), (1, 1), (0, 3)]) == WeylElement({0: 3, 1: Hp + 1})
+        assert WeylElement([(1, 2), (1, -2)]).is_zero()
+        assert BElement([(-1, RatFunc(Hp)), (2, 1), (-1, -RatFunc(Hp))]) == BElement({2: 1})
+
+    def test_repr(self):
+        assert repr(WeylElement({1: 2, -1: Hp})) == "WeylElement({-1: H, 1: 2})"
+        assert repr(X.to_b()) == "BElement({1: 1})"
 
     def test_equality_and_hash(self):
         a = normalize_text("Y*X")
@@ -402,6 +419,8 @@ class TestScalarOperands:
         assert a - 3 == WeylElement({1: 1, -1: Hp, 0: -5})
         assert 3 - a == WeylElement({1: -1, -1: -Hp, 0: 5})
         assert True + a == a + 1 and type(True + a) is WeylElement
+        with pytest.raises(TypeError):
+            a + "1"
 
     def test_polynomial_coefficients(self):
         a = self.a
