@@ -2,11 +2,16 @@
 
 The pipeline is the classical one for Z[x]: Yun squarefree decomposition
 over Q, reduction modulo the first odd prime that keeps the polynomial
-squarefree and its degree, quadratic Hensel lifting up to a Mignotte-style
-coefficient bound, and subset recombination.  The modular factors come from
-distinct-degree factorization in F_p[x], split by equal-degree factorization
-(Cantor-Zassenhaus).  Everything is exact integer arithmetic; the returned
-bases are monic irreducible polynomials over Q.
+squarefree and its degree, Hensel lifting, and subset recombination.  The
+modular factors come from distinct-degree factorization in F_p[x], split by
+equal-degree factorization (Cantor-Zassenhaus).  They are lifted together,
+on one factor tree built once mod p, up the ladder of exponents
+ceil(l / 2**i) to exactly p**l, where p**l exceeds twice a Mignotte-style
+coefficient bound.  After each rung every lifted factor still open is tried
+by exact division, so most factors are found well below p**l; lifting stops
+once at most one is open, and only the factors still open at p**l go to
+recombination.  Everything is exact integer arithmetic; the returned bases
+are monic irreducible polynomials over Q.
 
 Integer polynomials are int lists, ascending, as Poly stores them; their
 Z[x] arithmetic comes from polynomials.py, and this module adds F_p[x]
@@ -222,61 +227,91 @@ def _gf_edf(g, d, p, rng):
 
 
 # ----------------------------------------------------------------------
-# Hensel lifting
+# Hensel lifting on one factor tree
 # ----------------------------------------------------------------------
 
-def _hensel_step(m, f, g, h, s, t):
-    """One quadratic lift: from mod m to mod m**2.
+def _hensel_step(M, f, g, h, s, t, last):
+    """One lift of f = g*h from mod m to mod M, for any M dividing m**2.
 
     Requires f = g*h and s*g + t*h = 1 (mod m), h monic; dividing by a
-    monic h is exact modulo any m, so _gf_divmod serves for m**2.
+    monic h is exact modulo any M, so _gf_divmod serves for M.  On the last
+    rung nothing lifts further, so s and t come back as they were.
     """
-    mm = m * m
-    e = _trunc(_sub(f, _mul(g, h)), mm)
-    q, r = (_trunc(u, mm) for u in _gf_divmod(_mul(s, e), h, mm))
-    g1 = _trunc(_add(_add(g, _mul(t, e)), _mul(q, g)), mm)
-    h1 = _trunc(_add(h, r), mm)
-    b = _trunc(_sub(_add(_mul(s, g1), _mul(t, h1)), [1]), mm)
-    c, d = (_trunc(u, mm) for u in _gf_divmod(_mul(s, b), h1, mm))
-    s1 = _trunc(_sub(s, d), mm)
-    t1 = _trunc(_sub(_sub(t, _mul(t, b)), _mul(c, g1)), mm)
+    e = _trunc(_sub(f, _mul(g, h)), M)
+    q, r = (_trunc(u, M) for u in _gf_divmod(_mul(s, e), h, M))
+    g1 = _trunc(_add(_add(g, _mul(t, e)), _mul(q, g)), M)
+    h1 = _trunc(_add(h, r), M)
+    if last:
+        return g1, h1, s, t
+    b = _trunc(_sub(_add(_mul(s, g1), _mul(t, h1)), [1]), M)
+    c, d = (_trunc(u, M) for u in _gf_divmod(_mul(s, b), h1, M))
+    s1 = _trunc(_sub(s, d), M)
+    t1 = _trunc(_sub(_sub(t, _mul(t, b)), _mul(c, g1)), M)
     return g1, h1, s1, t1
 
 
-def _hensel_lift(p, f, modular, l):
-    """Lift monic mod-p factors of f to factors mod p**l (symmetric)."""
-    r = len(modular)
-    lc = f[-1]
-    pl = p**l
-    if r == 1:
-        inv = pow(lc % pl, -1, pl)
-        return [_trunc(_mul(f, [inv]), pl)]
-    k = r // 2
-    steps = 0
-    m = 1
-    while m < l:
-        m *= 2
-        steps += 1
-    g = [lc % p]
-    for fac in modular[:k]:
-        g = _gf_mul(g, fac, p)
-    h = [1]
-    for fac in modular[k:]:
-        h = _gf_mul(h, fac, p)
+def _factor_tree(p, modular, lo=0, hi=None):
+    """The factor tree of the monic mod-p factors modular[lo:hi].
+
+    A leaf is the index of its factor.  An inner node is the list
+    [g, h, s, t, left, right]: g and h are the monic products of the left
+    and right halves of its factors and s*g + t*h = 1 (mod p).
+    """
+    if hi is None:
+        hi = len(modular)
+    if hi - lo == 1:
+        return lo
+    mid = (lo + hi) // 2
+    g = h = [1]
+    for u in modular[lo:mid]:
+        g = _gf_mul(g, u, p)
+    for u in modular[mid:hi]:
+        h = _gf_mul(h, u, p)
     s, t, one = _gf_gcdex(g, h, p)
     if one != [1]:
         raise RuntimeError("modular factors are not coprime; bad prime slipped through")
-    g, h, s, t = _trunc(g, p), _trunc(h, p), _trunc(s, p), _trunc(t, p)
-    m = p
-    for _ in range(steps):
-        g, h, s, t = _hensel_step(m, f, g, h, s, t)
-        m = m * m
-    return _hensel_lift(p, g, modular[:k], l) + _hensel_lift(p, h, modular[k:], l)
+    return [*(_trunc(u, p) for u in (g, h, s, t)),
+            _factor_tree(p, modular, lo, mid), _factor_tree(p, modular, mid, hi)]
+
+
+def _lift_tree(tree, f, M, last, lifted):
+    """Lift a factor tree of the monic f one rung, to mod M; the leaves'
+    factors go to lifted."""
+    if not isinstance(tree, list):
+        lifted[tree] = f
+        return
+    g, h, s, t, left, right = tree
+    tree[:4] = g, h, s, t = _hensel_step(M, f, g, h, s, t, last)
+    _lift_tree(left, g, M, last, lifted)
+    _lift_tree(right, h, M, last, lifted)
 
 
 # ----------------------------------------------------------------------
 # Zassenhaus over Z
 # ----------------------------------------------------------------------
+
+def _ladder(l):
+    """The exponents ceil(l / 2**i), ascending from 1 to l; each is at most
+    twice the one before, so one Hensel step climbs each rung."""
+    rungs = [l]
+    while rungs[-1] > 1:
+        rungs.append((rungs[-1] + 1) // 2)
+    return rungs[::-1]
+
+
+def _exact_quotient(f, g):
+    """f / g when the primitive g divides f in Z[x], else None.
+
+    g divides f only if its constant term divides f's, which rules most
+    candidates out before any division.
+    """
+    if f[0] % g[0] if g[0] else f[0]:
+        return None
+    quotient, rem, scale = _pseudo_divmod(f, g)
+    if rem or any(c % scale for c in quotient):
+        return None
+    return [c // scale for c in quotient]
+
 
 def _zassenhaus(f):
     """Irreducible factors (primitive, lc > 0) of a primitive squarefree
@@ -309,11 +344,35 @@ def _zassenhaus(f):
     while pl <= 2 * bound:
         pl *= p
         l += 1
-    lifted = _hensel_lift(p, f, modular, l)
 
-    remaining = list(range(len(lifted)))
+    # Lift the whole factor tree one rung at a time and try each open factor
+    # after each rung.  A lifted factor u that gives a divisor of f is
+    # irreducible over Z: the divisor is a unit times u mod p, since p does
+    # not divide lc(f), and u is irreducible mod p.
+    tree = _factor_tree(p, modular)
+    lifted = [_trunc(u, p) for u in modular]
+    remaining = list(range(len(modular)))
     current = list(f)
     found = []
+    for e in _ladder(l):
+        pe = p**e
+        if e > 1:
+            target = _trunc(_mul(f, [pow(lead, -1, pe)]), pe)
+            _lift_tree(tree, target, pe, e == l, lifted)
+        if e == l:
+            break
+        for i in remaining[:]:
+            cand = _primitive(_trunc(_mul([current[-1]], lifted[i]), pe))[1]
+            quotient = _exact_quotient(current, cand)
+            if quotient is not None:
+                found.append(cand)
+                current = quotient
+                remaining.remove(i)
+                if len(remaining) == 1:  # so the cofactor is irreducible mod p
+                    return found + [current]
+
+    # recombine the factors still open at p**l; each hit takes at most half
+    # of them, so the cofactor left at the end is never constant
     size = 1
     while 2 * size <= len(remaining):
         hit = False
@@ -322,9 +381,8 @@ def _zassenhaus(f):
             for i in subset:
                 cand = _trunc(_mul(cand, lifted[i]), pl)
             cand = _primitive(cand)[1]
-            quotient, rem, scale = _pseudo_divmod(current, cand)
-            if not rem and all(c % scale == 0 for c in quotient):
-                quotient = [c // scale for c in quotient]
+            quotient = _exact_quotient(current, cand)
+            if quotient is not None:
                 found.append(cand)
                 current = quotient
                 remaining = [i for i in remaining if i not in subset]
@@ -332,9 +390,7 @@ def _zassenhaus(f):
                 break
         if not hit:
             size += 1
-    if len(current) > 1:
-        found.append(current)
-    return found
+    return found + [current]
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,20 @@ from math import gcd, isqrt, prod
 
 import pytest
 
-from weylalg import DomainError, Poly, RatFunc, factor_poly, factor_ratfunc, is_irreducible
-from weylalg.factor import _gf_ddf, _gf_edf, _gf_gcd, _gf_gcdex
-from weylalg.polynomials import clear_denominators
+from weylalg import DomainError, Poly, RatFunc, factor, factor_poly, factor_ratfunc, is_irreducible
+from weylalg.factor import (
+    _factor_tree,
+    _gf_ddf,
+    _gf_edf,
+    _gf_gcd,
+    _gf_gcdex,
+    _gf_monic,
+    _gf_normal,
+    _ladder,
+    _lift_tree,
+    _trunc,
+)
+from weylalg.polynomials import _add, _derivative, _mul, _sub, clear_denominators
 
 H = Poly.gen()
 
@@ -59,6 +70,22 @@ def independent_irreducible(f: Poly) -> bool:
     if f.degree in (2, 3):
         return not has_rational_root(f)
     raise ValueError("only degrees 1..3 are decidable by the root test")
+
+
+def assert_matches_sympy(f: Poly):
+    """factor_poly(f) has sympy's irreducible factors and multiplies back to f."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    _, dense = clear_denominators(f)
+    theirs = sympy.factor_list(sympy.Poly(dense[::-1], x))
+    their_map = {}
+    for base, exp in theirs[1]:
+        coeffs = [F(str(c)) for c in sympy.Poly(base, x).all_coeffs()[::-1]]
+        monic = Poly(enumerate(coeffs)).monic()
+        their_map[monic] = their_map.get(monic, 0) + exp
+    mine = factor_poly(f)
+    assert mine.exponent_map() == their_map
+    assert mine.expand() == f
 
 
 def test_known_list_is_irreducible_by_roots():
@@ -117,8 +144,7 @@ class TestOracle:
                 assert independent_irreducible(base)
 
     def test_cross_check_against_sympy(self):
-        sympy = pytest.importorskip("sympy")
-        x = sympy.Symbol("x")
+        pytest.importorskip("sympy")
         rng = random.Random(23)
         inputs = [
             Poly({e: F(rng.randint(-9, 9)) for e in range(rng.randint(1, 7))}.items())
@@ -136,18 +162,8 @@ class TestOracle:
                 f = f * Poly(coeffs.items())
             inputs.append(f)
         for f in inputs:
-            if f.is_zero() or f.degree < 1:
-                continue
-            mine = factor_poly(f)
-            theirs = sympy.factor_list(sympy.Poly([int(f.coeff(e)) for e in range(f.degree, -1, -1)], x))
-            their_map = {}
-            for base, exp in theirs[1]:
-                poly = sympy.Poly(base, x)
-                coeffs = list(reversed([F(str(c)) for c in poly.all_coeffs()]))
-                monic = Poly(enumerate(coeffs)).monic()
-                their_map[monic] = their_map.get(monic, 0) + exp
-            assert mine.exponent_map() == their_map
-            assert mine.expand() == f
+            if not f.is_zero() and f.degree >= 1:
+                assert_matches_sympy(f)
 
 
 def test_finite_field_splitting_against_sympy():
@@ -218,3 +234,135 @@ class TestStructure:
         f = H**2 + F(1, PRODUCT_OF_ODD_PRIMES_BELOW_2000)
         assert factor_poly(f).exponent_map() == {f: 1}
         assert is_irreducible(f)
+
+
+def zassenhaus_trials(monkeypatch, f: Poly):
+    """Factor the integer model of f with _zassenhaus and record each trial
+    division as (modulus, cofactor, candidate, hit).
+
+    The modulus is p**e of the rung the candidate was taken at; the
+    candidates of recombination are taken at the top rung, p**l.
+    """
+    modulus = []
+    trials = []
+    make_tree, lift, divide = factor._factor_tree, factor._lift_tree, factor._exact_quotient
+
+    def spy_tree(p, modular, *bounds):
+        modulus.append(p)
+        return make_tree(p, modular, *bounds)
+
+    def spy_lift(tree, target, M, last, lifted):
+        modulus.append(M)
+        lift(tree, target, M, last, lifted)
+
+    def spy_divide(current, cand):
+        quotient = divide(current, cand)
+        trials.append((modulus[-1], current, cand, quotient is not None))
+        return quotient
+
+    monkeypatch.setattr(factor, "_factor_tree", spy_tree)
+    monkeypatch.setattr(factor, "_lift_tree", spy_lift)
+    monkeypatch.setattr(factor, "_exact_quotient", spy_divide)
+    factor._zassenhaus(clear_denominators(f)[1])
+    monkeypatch.undo()
+    return trials
+
+
+class TestEarlyDetection:
+    def test_large_factor_waits_for_the_top_rung(self, monkeypatch):
+        # H^4 - 10 H^2 + 1 splits mod every prime, so two or more of its
+        # modular factors stay open up to p^l, and the large linear factor
+        # is found only there, by recombination
+        big = 10**40 + 7
+        f = (H - 1) * (H + 2) * (H + big) * (H**4 - 10 * H**2 + 1)
+        assert_matches_sympy(f)
+        trials = zassenhaus_trials(monkeypatch, f)
+        top = max(m for m, *_ in trials)
+        hits = {tuple(cand): m for m, _, cand, hit in trials if hit}
+        assert hits.keys() == {(-1, 1), (2, 1), (big, 1)}
+        assert hits[(-1, 1)] < top and hits[(2, 1)] < top
+        assert hits[(big, 1)] == top
+        assert 2 * big > max(m for m, *_ in trials if m < top)  # the rung below reduces it
+
+    def test_zero_constant_terms(self, monkeypatch):
+        for f in (H, H * (H + 1), H**2 * (H + 1), H * (H + 1) * (H**2 + 3) * (H - 5)):
+            assert_matches_sympy(f)
+        # H itself divides a cofactor with zero constant term
+        trials = zassenhaus_trials(monkeypatch, H * (H + 1) * (H**2 + 3) * (H - 5))
+        assert any(hit and cand == [0, 1] and current[0] == 0 for _, current, cand, hit in trials)
+        # 5^5 vanishes mod 5^2, so a candidate with zero constant term meets
+        # a cofactor whose constant term is not zero
+        f = (H + 5**5) * (H - 1) * (H + 2) * (H**2 + 7)
+        assert_matches_sympy(f)
+        trials = zassenhaus_trials(monkeypatch, f)
+        assert any(
+            not hit and cand[0] == 0 and current[0] != 0 for _, current, cand, hit in trials
+        )
+
+    def test_quartic_splitting_mod_every_prime_comes_back_whole(self, monkeypatch):
+        quartic = H**4 - 10 * H**2 + 1
+        f = quartic * (H - 1) * (H + 2)
+        assert_matches_sympy(f)
+        assert factor_poly(f).exponent_map() == {quartic: 1, H - 1: 1, H + 2: 1}
+        trials = zassenhaus_trials(monkeypatch, f)
+        top = max(m for m, *_ in trials)
+        hits = [(m, cand) for m, _, cand, hit in trials if hit]
+        assert sorted(cand for _, cand in hits) == [[-1, 1], [2, 1]]
+        assert all(m < top for m, _ in hits)
+        # the quartic's modular factors reach recombination and no subset
+        # of them divides it
+        assert any(m == top and not hit for m, _, _, hit in trials)
+
+    def test_leading_coefficient_above_half_the_modulus(self, monkeypatch):
+        for f in (
+            (10**6 * H + 1) * (H + 1) * (H - 2) * (H**2 + 3),
+            (1000 * H + 1) * (999 * H - 1) * (H + 1) * (H - 2),
+        ):
+            assert_matches_sympy(f)
+            trials = zassenhaus_trials(monkeypatch, f)
+            # lc(cofactor) * u mod p^e loses its leading coefficient at such
+            # a rung, yet a factor can still be found there
+            assert any(hit and 2 * current[-1] >= m for m, current, _, hit in trials)
+
+
+def test_factor_tree_invariants_on_each_rung():
+    """After each rung the leaves are monic and f = lc * product(leaves)
+    (mod p^e); below the top rung each node keeps s*g + t*h = 1."""
+    rng = random.Random(25)
+    checked = 0
+    while checked < 30:
+        f = [1]
+        for _ in range(rng.randint(2, 5)):
+            degree = rng.randint(1, 4)
+            f = _mul(f, [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice([1, 2, 3, 5])])
+        p = rng.choice([3, 5, 7, 11, 13])
+        fp = _gf_normal(f, p)
+        if f[-1] % p == 0 or len(_gf_gcd(fp, _derivative(fp), p)) != 1:
+            continue
+        modular = [u for g, d in _gf_ddf(_gf_monic(fp, p), p) for u in _gf_edf(g, d, p, rng)]
+        if len(modular) < 2:
+            continue
+        tree = _factor_tree(p, modular)
+        lifted = [_trunc(u, p) for u in modular]
+        l = rng.randint(2, 12)
+        rungs = _ladder(l)
+        assert rungs[0] == 1 and rungs[-1] == l
+        assert all(a < b <= 2 * a for a, b in zip(rungs, rungs[1:]))
+        for e in rungs:
+            pe = p**e
+            if e > 1:
+                target = _trunc(_mul(f, [pow(f[-1], -1, pe)]), pe)
+                _lift_tree(tree, target, pe, e == l, lifted)
+            assert [len(u) for u in lifted] == [len(u) for u in modular]
+            assert all(u[-1] == 1 for u in lifted)
+            product = [f[-1]]
+            for u in lifted:
+                product = _mul(product, u)
+            assert _trunc(_sub(f, product), pe) == []
+            if e < l:
+                nodes = [tree]
+                while nodes:
+                    g, h, s, t, left, right = nodes.pop()
+                    assert _trunc(_sub(_add(_mul(s, g), _mul(t, h)), [1]), pe) == []
+                    nodes += [child for child in (left, right) if isinstance(child, list)]
+        checked += 1
