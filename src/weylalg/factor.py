@@ -1,22 +1,28 @@
 """Complete factorization over Q for Poly and RatFunc values.
 
-The pipeline is the classical one for Z[x]: Yun squarefree decomposition
-over Q, reduction modulo the first odd prime that keeps the polynomial
-squarefree and its degree, Hensel lifting, and subset recombination.  The
-modular factors come from distinct-degree factorization in F_p[x], split by
-equal-degree factorization (Cantor-Zassenhaus).  They are lifted together,
-on one factor tree built once mod p, up the ladder of exponents
-ceil(l / 2**i) to exactly p**l, where p**l exceeds twice a Mignotte-style
-coefficient bound.  After each rung every lifted factor still open is tried
-by exact division, so most factors are found well below p**l; lifting stops
-once at most one is open, and only the factors still open at p**l go to
-recombination.  Everything is exact integer arithmetic; the returned bases
-are monic irreducible polynomials over Q.
+The pipeline is the classical one for Z[x]: squarefree decomposition,
+reduction modulo the first odd prime that keeps the polynomial squarefree
+and its degree, Hensel lifting, and subset recombination.  A polynomial
+that one Euclid modulo a 61-bit prime shows coprime to its derivative is
+squarefree as it stands; only the others go through Yun's decomposition
+over Q.  The modular factors come from distinct-degree factorization in
+F_p[x], split by equal-degree factorization (Cantor-Zassenhaus).  The
+search for p rules out a prime below the degree by a root the polynomial
+shares with its derivative mod p, where one exists, before any gcd.  The
+modular factors are lifted together, on one factor tree built once mod p,
+up the ladder of exponents ceil(l / 2**i) to exactly p**l, where p**l
+exceeds twice a Mignotte-style coefficient bound.  After each rung every
+lifted factor still open is tried by exact division, so most factors are
+found well below p**l; lifting stops once at most one is open, and only
+the factors still open at p**l go to recombination.  Everything is exact
+integer arithmetic; the returned bases are monic irreducible polynomials
+over Q.
 
 Integer polynomials are int lists, ascending, as Poly stores them; their
-Z[x] arithmetic comes from polynomials.py, and this module adds F_p[x]
-arithmetic, symmetric reduction mod m and Hensel lifting on top.  Only the
-public surface speaks Poly / RatFunc.
+Z[x] arithmetic, and the F_p[x] reduction, division and gcd, come from
+polynomials.py; this module adds the rest of the F_p[x] arithmetic,
+symmetric reduction mod m and Hensel lifting on top.  Only the public
+surface speaks Poly / RatFunc.
 """
 
 from __future__ import annotations
@@ -33,6 +39,10 @@ from .polynomials import (
     RatFunc,
     _add,
     _derivative,
+    _gf_divmod,
+    _gf_gcd,
+    _gf_monic,
+    _gf_normal,
     _mul,
     _primitive,
     _pseudo_divmod,
@@ -108,17 +118,6 @@ def _trunc(f, m):
 # arithmetic in F_p[x]
 # ----------------------------------------------------------------------
 
-def _gf_normal(f, p):
-    return _strip([a % p for a in f])
-
-
-def _gf_monic(f, p):
-    if not f:
-        return []
-    inv = pow(f[-1], -1, p)
-    return [a * inv % p for a in f]
-
-
 def _gf_mul(f, g, p):
     return _gf_normal(_mul(f, g), p)
 
@@ -127,37 +126,12 @@ def _gf_sub(f, g, p):
     return _gf_normal(_sub(f, g), p)
 
 
-def _gf_divmod(f, g, p):
-    if not g:
-        raise ZeroDivisionError("division by zero polynomial mod p")
-    rem = [a % p for a in f]
-    n = len(g) - 1
-    if len(rem) - 1 < n:
-        return [], _strip(rem)
-    inv = pow(g[-1], -1, p)
-    quo = [0] * (len(rem) - n)
-    for shift in range(len(quo) - 1, -1, -1):
-        c = rem[shift + n] * inv % p
-        quo[shift] = c
-        if c:
-            for j, b in enumerate(g):
-                rem[shift + j] = (rem[shift + j] - c * b) % p
-    return _strip(quo), _strip(rem[:n])
-
-
 def _gf_rem(f, g, p):
     return _gf_divmod(f, g, p)[1]
 
 
 def _gf_quo(f, g, p):
     return _gf_divmod(f, g, p)[0]
-
-
-def _gf_gcd(f, g, p):
-    f, g = _gf_normal(f, p), _gf_normal(g, p)
-    while g:
-        f, g = g, _gf_rem(f, g, p)
-    return _gf_monic(f, p)
 
 
 def _gf_gcdex(f, g, p):
@@ -313,6 +287,36 @@ def _exact_quotient(f, g):
     return [c // scale for c in quotient]
 
 
+def _gf_eval(f, a, p):
+    """f(a) in F_p, by Horner's rule."""
+    v = 0
+    for c in reversed(f):
+        v = (v * a + c) % p
+    return v
+
+
+def _good_prime(f):
+    """The first odd prime p that divides neither lc(f) nor the
+    discriminant of f, so f keeps its degree and stays squarefree mod p;
+    lc(f) and the discriminant have finitely many prime factors, so it exists.
+
+    While p <= deg f, a root that f shares with f' in F_p rules p out in
+    O(p deg f) steps, before the O(deg f ** 2) gcd of f and f' mod p; the
+    gcd would rule p out too, so the search picks the same prime.
+    """
+    n = len(f) - 1
+    for p in itertools.count(3, 2):
+        if f[-1] % p and all(p % k for k in range(3, isqrt(p) + 1, 2)):
+            fp = _gf_normal(f, p)
+            dfp = _derivative(fp)
+            if p <= n and any(
+                not _gf_eval(fp, a, p) and not _gf_eval(dfp, a, p) for a in range(p)
+            ):
+                continue
+            if len(_gf_gcd(fp, dfp, p)) == 1:
+                return p
+
+
 def _zassenhaus(f):
     """Irreducible factors (primitive, lc > 0) of a primitive squarefree
     integer polynomial with lc > 0 and degree >= 1."""
@@ -323,14 +327,8 @@ def _zassenhaus(f):
     height = max(abs(a) for a in f)
     bound = (isqrt(n + 1) + 1) * 2**n * height * lead
 
-    # the first odd prime that keeps the degree of f and leaves it squarefree;
-    # lead and the discriminant have finitely many prime factors, so it exists
-    for p in itertools.count(3, 2):
-        if lead % p and all(p % k for k in range(3, isqrt(p) + 1, 2)):
-            fp = _gf_normal(f, p)
-            if len(_gf_gcd(fp, _derivative(fp), p)) == 1:
-                break
-    ddf = _gf_ddf(_gf_monic(fp, p), p)
+    p = _good_prime(f)
+    ddf = _gf_ddf(_gf_monic(_gf_normal(f, p), p), p)
     if ddf[0][1] == n:  # irreducible mod p, hence over Z
         return [list(f)]
     # the split is random, the set of factors it finds is not
@@ -398,11 +396,20 @@ def _zassenhaus(f):
 # ----------------------------------------------------------------------
 
 def _squarefree_parts(f: Poly):
-    """Yun decomposition of a monic polynomial: [(monic squarefree, multiplicity)]."""
+    """The squarefree decomposition [(monic squarefree, multiplicity)] of a
+    monic polynomial of degree >= 1.
+
+    poly_gcd shows most f coprime to f' by one Euclid mod a 61-bit prime,
+    and then f is its own decomposition; otherwise Yun's algorithm runs
+    over Q from that gcd.
+    """
+    df = f.derivative()
+    g = poly_gcd(f, df)
+    if g.is_constant():
+        return [(f, 1)]
     parts = []
-    g = poly_gcd(f, f.derivative())
     b = f // g
-    c = f.derivative() // g
+    c = df // g
     d = c - b.derivative()
     i = 1
     while not (b.is_constant() and b.constant_value() == 1):

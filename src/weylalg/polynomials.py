@@ -8,7 +8,11 @@ stored fields.  The zero polynomial is ((), 1), and its degree is the
 absorbing sentinel ``NEG_INF``.
 
 All coefficient arithmetic runs on the module-level functions on integer
-lists below, which factor.py shares.  The shift automorphism acts by
+lists below, which factor.py shares.  So are the same lists' reduction,
+division and Euclid's gcd in F_p[x], and the coprimality test built on
+them: one Euclid modulo the prime 2^61 - 1, which lets ``poly_gcd``
+answer 1 without Euclid over Q, and falls through to the exact path when
+it shows nothing.  The shift automorphism acts by
 ``sigma(f)(H) = f(H - 1)``, so ``sigma_pow(f, i)`` substitutes ``H - i``
 for ``H``; it and ``compose_affine`` are integer Taylor shifts.
 
@@ -185,6 +189,61 @@ def _taylor_shift(f, t: int):
         for i in range(n - 1):
             for j in range(n - 2, i - 1, -1):
                 f[j] += t * f[j + 1]
+
+
+# ----------------------------------------------------------------------
+# integer polynomials mod p: the same lists, reduced to [0, p)
+# ----------------------------------------------------------------------
+
+def _gf_normal(f, p):
+    return _strip([a % p for a in f])
+
+
+def _gf_monic(f, p):
+    if not f:
+        return []
+    inv = pow(f[-1], -1, p)
+    return [a * inv % p for a in f]
+
+
+def _gf_divmod(f, g, p):
+    """(quotient, remainder) of f by a nonzero g in F_p[x]."""
+    rem = [a % p for a in f]
+    n = len(g) - 1
+    if len(rem) - 1 < n:
+        return [], _strip(rem)
+    inv = pow(g[-1], -1, p)
+    quo = [0] * (len(rem) - n)
+    for shift in range(len(quo) - 1, -1, -1):
+        c = rem[shift + n] * inv % p
+        quo[shift] = c
+        if c:
+            for j, b in enumerate(g):
+                rem[shift + j] = (rem[shift + j] - c * b) % p
+    return _strip(quo), _strip(rem[:n])
+
+
+def _gf_gcd(f, g, p):
+    """The monic gcd in F_p[x]; [] for two zero polynomials."""
+    f, g = _gf_normal(f, p), _gf_normal(g, p)
+    while g:
+        f, g = g, _gf_divmod(f, g, p)[1]
+    return _gf_monic(f, p)
+
+
+_P = 2**61 - 1  # a Mersenne prime
+
+
+def _coprime(f, g):
+    """True when one Euclid mod _P shows the nonzero integer polynomials f
+    and g coprime over Q; False means only that it does not show it.
+
+    A common divisor of f and g over Z has a leading coefficient dividing
+    lc(f), so when _P divides neither leading coefficient it keeps its
+    degree mod _P, where it divides the gcd: a constant gcd mod _P leaves
+    only constant common divisors (the degree bound of modular gcds).
+    """
+    return bool(f[-1] % _P and g[-1] % _P) and len(_gf_gcd(f, g, _P)) == 1
 
 
 def _poly(coeffs, den=1) -> "Poly":
@@ -487,7 +546,14 @@ H = _GEN
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd in Q[H]; gcd(0, 0) = 0."""
+    """Monic gcd in Q[H]; gcd(0, 0) = 0.
+
+    The common answer 1 is found without Euclid over Q: when one argument
+    is a nonzero constant, or when one Euclid mod a 61-bit prime shows the
+    two coprime.
+    """
+    if len(a._c) == 1 or len(b._c) == 1 or (a._c and b._c and _coprime(a._c, b._c)):
+        return _ONE
     while not b.is_zero():
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 from math import gcd, isqrt, prod
@@ -13,11 +14,22 @@ from weylalg.factor import (
     _gf_gcdex,
     _gf_monic,
     _gf_normal,
+    _good_prime,
     _ladder,
     _lift_tree,
     _trunc,
 )
-from weylalg.polynomials import _add, _derivative, _mul, _sub, clear_denominators
+from weylalg.polynomials import (
+    _P,
+    _add,
+    _coprime,
+    _derivative,
+    _mul,
+    _sub,
+    clear_denominators,
+    poly_gcd,
+    rising_product,
+)
 
 H = Poly.gen()
 
@@ -234,6 +246,70 @@ class TestStructure:
         f = H**2 + F(1, PRODUCT_OF_ODD_PRIMES_BELOW_2000)
         assert factor_poly(f).exponent_map() == {f: 1}
         assert is_irreducible(f)
+
+
+class TestSquarefreeParts:
+    def test_repeated_factors_go_through_yun(self):
+        rng = random.Random(26)
+        for _ in range(40):
+            f = Poly.constant(rng.choice([1, -2, F(3, 4)]))
+            for _ in range(rng.randint(1, 3)):
+                degree = rng.randint(1, 3)
+                coeffs = {e: F(rng.randint(-9, 9)) for e in range(degree)}
+                coeffs[degree] = F(rng.choice([1, 2, 3]))
+                f = f * Poly(coeffs.items()) ** rng.randint(1, 3)
+            f = f * (H + rng.randint(-9, 9)) ** 2  # so f and f' share a factor
+            assert not poly_gcd(f, f.derivative()).is_constant()
+            assert_matches_sympy(f)
+            assert max(e for _, e in factor_poly(f).factors) >= 2
+
+    def test_leading_coefficient_divisible_by_the_prime(self):
+        # the numerators' leading coefficients are multiples of 2^61 - 1, so
+        # coprimality mod that prime shows nothing and the exact path runs
+        for f in (H**2 + H * F(1, _P), H * (H + F(1, _P)) ** 2, (H**2 + 3) * (_P * H + 1)):
+            monic = f.monic()
+            assert not _coprime(monic._c, monic.derivative()._c)
+            assert_matches_sympy(f)
+
+
+def reference_prime(f):
+    """The first odd prime not dividing lc(f) that leaves f squarefree,
+    found by the gcd of f and f' mod p alone."""
+    for p in itertools.count(3, 2):
+        if f[-1] % p and all(p % k for k in range(3, isqrt(p) + 1, 2)):
+            fp = _gf_normal(f, p)
+            if len(_gf_gcd(fp, _derivative(fp), p)) == 1:
+                return p
+
+
+class TestPrimeSearch:
+    def test_rising_products(self):
+        # H (H+1) ... (H+n-1) has the double root 0 mod every prime below n,
+        # and n distinct roots mod every larger prime
+        for n in range(2, 90):
+            f = clear_denominators(rising_product(n))[1]
+            first_odd_prime_from_n = next(
+                q for q in itertools.count(max(n, 3)) if all(q % k for k in range(2, q))
+            )
+            assert _good_prime(f) == reference_prime(f) == first_odd_prime_from_n
+
+    def test_random_squarefree_polynomials(self):
+        rng = random.Random(27)
+        checked = 0
+        while checked < 150:
+            if rng.random() < 0.5:  # distinct integer roots collide mod small primes
+                roots = rng.sample(range(-40, 41), rng.randint(2, 20))
+                f = prod((H - r for r in roots), start=Poly.constant(rng.randint(1, 30)))
+            else:
+                degree = rng.randint(2, 20)
+                coeffs = {e: F(rng.randint(-20, 20)) for e in range(degree)}
+                coeffs[degree] = F(rng.randint(1, 30))
+                f = Poly(coeffs.items())
+            if not poly_gcd(f, f.derivative()).is_constant():
+                continue
+            dense = clear_denominators(f)[1]
+            assert _good_prime(dense) == reference_prime(dense)
+            checked += 1
 
 
 def zassenhaus_trials(monkeypatch, f: Poly):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylalg import NEG_INF, DomainError, Poly, RatFunc, delta_op, monic_split, rat_deg, sigma_pow
-from weylalg.polynomials import clear_denominators, falling_window, poly_sum
+from weylalg.polynomials import _P, _coprime, clear_denominators, falling_window, poly_gcd, poly_sum
 from helpers import random_poly, random_ratfunc
 
 H = Poly.gen()
@@ -300,6 +300,60 @@ class TestRatFunc:
     def test_sigma_on_ratfunc(self):
         h = RatFunc(H, H + 1)
         assert sigma_pow(h, 2) == RatFunc(H - 2, H - 1)
+
+
+def sympy_monic_gcd(a: Poly, b: Poly) -> Poly:
+    """The monic gcd of a and b over Q, as sympy computes it."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def to_sympy(f):
+        terms = {(e,): sympy.Rational(c.numerator, c.denominator) for e, c in f.terms}
+        return sympy.Poly.from_dict(terms, x, domain="QQ")
+
+    g = sympy.gcd(to_sympy(a), to_sympy(b))
+    return Poly((e, F(str(c))) for (e,), c in g.terms())
+
+
+nonconstant_lists = short_lists.filter(lambda c: any(c[1:]))
+
+
+class TestGcd:
+    """poly_gcd, with and without the coprimality test mod 2^61 - 1, against sympy."""
+
+    @given(nonconstant_lists, nonconstant_lists, nonconstant_lists)
+    @KERNEL
+    def test_planted_common_factor(self, ca, cb, cc):
+        a, b, c = (Poly(enumerate(cs)) for cs in (ca, cb, cc))
+        g = poly_gcd(a * c, b * c)
+        assert g == sympy_monic_gcd(a * c, b * c)
+        assert g.degree >= c.degree and g.is_monic()
+
+    @given(short_lists.filter(any), short_lists, rationals.filter(bool))
+    @KERNEL
+    def test_coprime_pairs(self, ca, cb, k):
+        # gcd(a, a*b + k) = gcd(a, k) = 1
+        a, b = Poly(enumerate(ca)), Poly(enumerate(cb))
+        assert poly_gcd(a, a * b + k) == Poly.one() == sympy_monic_gcd(a, a * b + k)
+        assert poly_gcd(a * b + k, a) == Poly.one()
+
+    def test_zero_and_constant_arguments(self):
+        assert poly_gcd(Poly.zero(), Poly.zero()) == Poly.zero()
+        assert poly_gcd(2 * H + 4, Poly.zero()) == poly_gcd(Poly.zero(), 2 * H + 4) == H + 2
+        assert poly_gcd(Poly.constant(F(-3, 2)), Poly.zero()) == Poly.one()
+        assert poly_gcd(H**2 + 1, Poly.constant(7)) == Poly.one()
+
+    def test_leading_coefficient_divisible_by_the_prime(self):
+        # the numerators' leading coefficients are multiples of _P, so the
+        # test mod _P shows nothing and the exact path answers
+        f = H**2 + H * F(1, _P)  # H (H + 1/_P)
+        df = f.derivative()
+        assert not _coprime(f._c, df._c)
+        assert poly_gcd(f, df) == Poly.one() == sympy_monic_gcd(f, df)
+        g = f * (H + F(1, _P))
+        assert not _coprime(g._c, g.derivative()._c)
+        assert poly_gcd(g, g.derivative()) == H + F(1, _P) == sympy_monic_gcd(g, g.derivative())
+        assert RatFunc(g, f * (H - 1)) == RatFunc(H + F(1, _P), H - 1)
 
 
 class TestMonicSplit:
