@@ -141,19 +141,21 @@ def _deconvolve(exponents: dict[int, int], k: int):
     """Solve sum_{m=0}^{k-1} d(j - m) = e(j) for finitely supported d.
 
     Returns (d, None) on success or (None, (position, residue)) at the first
-    failing convolution position.
+    failing convolution position.  Both passes keep a running window sum, so
+    the work is O(span + k).
     """
     lo = min(exponents)
     hi = max(exponents)
     d: dict[int, int] = {}
+    window = 0  # sum_{m=1}^{k-1} d(j - m)
     for j in range(lo, hi + 1):
-        val = exponents.get(j, 0)
-        for m in range(1, k):
-            val -= d.get(j - m, 0)
+        val = exponents.get(j, 0) - window
         if val:
             d[j] = val
+        window += val - d.get(j + 1 - k, 0)
+    conv = 0  # sum_{m=0}^{k-1} d(j - m)
     for j in range(lo, hi + k):
-        conv = sum(d.get(j - m, 0) for m in range(k))
+        conv += d.get(j, 0) - d.get(j - k, 0)
         if conv != exponents.get(j, 0):
             return None, (j, conv - exponents.get(j, 0))
     return d, None

@@ -6,17 +6,18 @@ and its degree, Hensel lifting, and subset recombination.  A polynomial
 that one Euclid modulo a 61-bit prime shows coprime to its derivative is
 squarefree as it stands; only the others go through Yun's decomposition
 over Q.  The modular factors come from distinct-degree factorization in
-F_p[x], split by equal-degree factorization (Cantor-Zassenhaus).  The
-search for p rules out a prime below the degree by a root the polynomial
-shares with its derivative mod p, where one exists, before any gcd.  The
-modular factors are lifted together, on one factor tree built once mod p,
-up the ladder of exponents ceil(l / 2**i) to exactly p**l, where p**l
-exceeds twice a Mignotte-style coefficient bound.  After each rung every
-lifted factor still open is tried by exact division, so most factors are
-found well below p**l; lifting stops once at most one is open, and only
-the factors still open at p**l go to recombination.  Everything is exact
-integer arithmetic; the returned bases are monic irreducible polynomials
-over Q.
+F_p[x]; the linear ones are x - a for the roots a found by evaluation at
+every residue, and those of degree >= 2 are split by Cantor-Zassenhaus.
+The search for p rules out a prime below the degree by a root the
+polynomial shares with its derivative mod p, where one exists, before any
+gcd.  The modular factors are lifted together, on one factor tree built
+bottom up once mod p, up the ladder of exponents ceil(l / 2**i) to
+exactly p**l, where p**l exceeds twice a Mignotte-style coefficient
+bound.  After each rung every lifted factor still open is tried by exact
+division, so most factors are found well below p**l; lifting stops once
+at most one is open, and only the factors still open at p**l go to
+recombination.  Everything is exact integer arithmetic; the returned
+bases are monic irreducible polynomials over Q.
 
 Integer polynomials are int lists, ascending, as Poly stores them; their
 Z[x] arithmetic, and the F_p[x] reduction, division and gcd, come from
@@ -31,7 +32,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import DomainError
 from .polynomials import (
@@ -95,7 +96,15 @@ class FactoredPoly:
 
 
 def _poly_key(f: Poly):
-    return (f.degree, tuple((e, c.numerator, c.denominator) for e, c in f.terms))
+    """(degree, ((e, numerator, denominator), ...)) over the nonzero terms of
+    f, ascending, read from its stored integers without building Fractions."""
+    den = f._den
+    terms = []
+    for e, c in enumerate(f._c):
+        if c:
+            g = gcd(c, den)
+            terms.append((e, c // g, den // g))
+    return (f.degree, tuple(terms))
 
 
 # ----------------------------------------------------------------------
@@ -142,8 +151,8 @@ def _gf_gcdex(f, g, p):
     while r1:
         q, r = _gf_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, p), p)
-        t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
+        s0, s1 = s1, _gf_sub(s0, _mul(q, s1), p)
+        t0, t1 = t1, _gf_sub(t0, _mul(q, t1), p)
     if not r0:
         return s0, t0, r0
     inv = pow(r0[-1], -1, p)
@@ -151,13 +160,21 @@ def _gf_gcdex(f, g, p):
     return scale(s0), scale(t0), scale(r0)
 
 
+def _gf_eval(f, a, p):
+    """f(a) in F_p, by Horner's rule."""
+    v = 0
+    for c in reversed(f):
+        v = (v * a + c) % p
+    return v
+
+
 def _gf_pow_mod(base, n, f, p):
     result = [1]
     base = _gf_rem(base, f, p)
     while n:
         if n & 1:
-            result = _gf_rem(_gf_mul(result, base, p), f, p)
-        base = _gf_rem(_gf_mul(base, base, p), f, p)
+            result = _gf_rem(_mul(result, base), f, p)
+        base = _gf_rem(_mul(base, base), f, p)
         n >>= 1
     return result
 
@@ -173,7 +190,7 @@ def _gf_ddf(f, p):
     d = 1
     while len(f) - 1 >= 2 * d:
         h = _gf_pow_mod(h, p, f, p)
-        g = _gf_gcd(_gf_sub(h, [0, 1], p), f, p)
+        g = _gf_gcd(_sub(h, [0, 1]), f, p)
         if len(g) > 1:
             factors.append((g, d))
             f = _gf_quo(f, g, p)
@@ -186,16 +203,28 @@ def _gf_ddf(f, p):
 
 def _gf_edf(g, d, p, rng):
     """Equal-degree split of a monic product g of distinct degree-d
-    irreducibles in F_p[x] into those irreducibles (Cantor-Zassenhaus).
+    irreducibles in F_p[x] into those irreducibles.
 
-    p must be odd: a random a splits g by gcd(a^((p^d-1)/2) - 1, g).
+    For d = 1 the factors are x - a for the roots a of g in 0..p-1, found by
+    evaluation, with no random trials.  The scan takes O(p deg g) steps in
+    F_p, and p stays small: it is the first odd prime dividing neither lc(f)
+    nor disc(f) of the f being factored (_good_prime), so every odd prime
+    below p divides lc(f) disc(f).  Their product grows like e^p, so p is at
+    most about ln |lc(f) disc(f)|, linear in the bit size of f, and no
+    size-based choice between two methods is needed.
+
+    For d >= 2, p must be odd: a random a splits g by
+    gcd(a^((p^d-1)/2) - 1, g) (Cantor-Zassenhaus).  The set of factors
+    does not depend on the method or on rng.
     """
     n = len(g) - 1
     if n == d:
         return [g]
+    if d == 1:
+        return [[-a % p, 1] for a in range(p) if not _gf_eval(g, a, p)]
     while True:
         a = _strip([rng.randrange(p) for _ in range(n)])
-        b = _gf_gcd(_gf_sub(_gf_pow_mod(a, (p**d - 1) // 2, g, p), [1], p), g, p)
+        b = _gf_gcd(_sub(_gf_pow_mod(a, (p**d - 1) // 2, g, p), [1]), g, p)
         if 0 < len(b) - 1 < n:
             return _gf_edf(b, d, p, rng) + _gf_edf(_gf_quo(g, b, p), d, p, rng)
 
@@ -229,23 +258,25 @@ def _factor_tree(p, modular, lo=0, hi=None):
 
     A leaf is the index of its factor.  An inner node is the list
     [g, h, s, t, left, right]: g and h are the monic products of the left
-    and right halves of its factors and s*g + t*h = 1 (mod p).
+    and right halves of its factors and s*g + t*h = 1 (mod p).  The tree is
+    built bottom up: a node takes g and h from its children, each the leaf's
+    factor or the product of the child's own g and h.
     """
     if hi is None:
         hi = len(modular)
     if hi - lo == 1:
         return lo
     mid = (lo + hi) // 2
-    g = h = [1]
-    for u in modular[lo:mid]:
-        g = _gf_mul(g, u, p)
-    for u in modular[mid:hi]:
-        h = _gf_mul(h, u, p)
+    left = _factor_tree(p, modular, lo, mid)
+    right = _factor_tree(p, modular, mid, hi)
+    g, h = (
+        _gf_mul(child[0], child[1], p) if isinstance(child, list) else modular[child]
+        for child in (left, right)
+    )
     s, t, one = _gf_gcdex(g, h, p)
     if one != [1]:
         raise RuntimeError("modular factors are not coprime; bad prime slipped through")
-    return [*(_trunc(u, p) for u in (g, h, s, t)),
-            _factor_tree(p, modular, lo, mid), _factor_tree(p, modular, mid, hi)]
+    return [*(_trunc(u, p) for u in (g, h, s, t)), left, right]
 
 
 def _lift_tree(tree, f, M, last, lifted):
@@ -285,14 +316,6 @@ def _exact_quotient(f, g):
     if rem or any(c % scale for c in quotient):
         return None
     return [c // scale for c in quotient]
-
-
-def _gf_eval(f, a, p):
-    """f(a) in F_p, by Horner's rule."""
-    v = 0
-    for c in reversed(f):
-        v = (v * a + c) % p
-    return v
 
 
 def _good_prime(f):

@@ -207,20 +207,26 @@ def _gf_monic(f, p):
 
 
 def _gf_divmod(f, g, p):
-    """(quotient, remainder) of f by a nonzero g in F_p[x]."""
-    rem = [a % p for a in f]
+    """(quotient, remainder) of f by g in (Z/p)[x], lc(g) a unit mod p.
+
+    f and g may be any integer lists.  Only each leading coefficient divided
+    by is reduced mod p, and the remainder once, at the end.  p need not be
+    prime: Hensel lifting divides by a monic g modulo p**e.
+    """
     n = len(g) - 1
-    if len(rem) - 1 < n:
-        return [], _strip(rem)
+    if len(f) - 1 < n:
+        return [], _gf_normal(f, p)
     inv = pow(g[-1], -1, p)
+    rem = list(f)
+    low = g[:n]
     quo = [0] * (len(rem) - n)
     for shift in range(len(quo) - 1, -1, -1):
-        c = rem[shift + n] * inv % p
-        quo[shift] = c
+        c = rem.pop() * inv % p  # the coefficient of x^(shift + n)
         if c:
-            for j, b in enumerate(g):
-                rem[shift + j] = (rem[shift + j] - c * b) % p
-    return _strip(quo), _strip(rem[:n])
+            quo[shift] = c
+            for j, b in enumerate(low, shift):
+                rem[j] -= c * b
+    return _strip(quo), _gf_normal(rem, p)
 
 
 def _gf_gcd(f, g, p):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylalg import (
     DomainError,
@@ -23,6 +24,7 @@ from weylalg import (
     solve_twisted_root,
     twisted_product,
 )
+from weylalg.centralizer import _deconvolve
 from helpers import random_int_monic
 
 Hp = Poly.gen()
@@ -53,6 +55,55 @@ class TestOrbitPartition:
         reference = shift_orbit_partition(factored(*bases), 1)
         for perm in itertools.permutations(bases):
             assert shift_orbit_partition(factored(*perm), 1) == reference
+
+
+def brute_force_deconvolve(exponents, k):
+    """_deconvolve with each window summed afresh: O(span * k)."""
+    lo = min(exponents)
+    hi = max(exponents)
+    d = {}
+    for j in range(lo, hi + 1):
+        val = exponents.get(j, 0)
+        for m in range(1, k):
+            val -= d.get(j - m, 0)
+        if val:
+            d[j] = val
+    for j in range(lo, hi + k):
+        conv = sum(d.get(j - m, 0) for m in range(k))
+        if conv != exponents.get(j, 0):
+            return None, (j, conv - exponents.get(j, 0))
+    return d, None
+
+
+def window_sums(d, k):
+    """The exponents sum_{m<k} d(j - m) of a finitely supported d, zeros
+    dropped; not all of them vanish when d does not."""
+    e = {}
+    for j, v in d.items():
+        for m in range(k):
+            e[j + m] = e.get(j + m, 0) + v
+    return {j: v for j, v in e.items() if v}
+
+
+exponent_maps = st.dictionaries(st.integers(-30, 30), st.integers(-4, 4), min_size=1, max_size=12)
+nonzero_maps = st.dictionaries(
+    st.integers(-30, 30), st.integers(-4, 4).filter(bool), min_size=1, max_size=12
+)
+
+
+class TestDeconvolve:
+    @given(exponent_maps, st.integers(1, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, exponents, k):
+        assert _deconvolve(exponents, k) == brute_force_deconvolve(exponents, k)
+
+    @given(nonzero_maps, st.integers(1, 9))
+    @settings(max_examples=200, deadline=None)
+    def test_window_sums_deconvolve(self, d, k):
+        exponents = window_sums(d, k)
+        got = _deconvolve(exponents, k)
+        assert got == brute_force_deconvolve(exponents, k)
+        assert got == (d, None)
 
 
 class TestTwistedRoot:

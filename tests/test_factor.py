@@ -17,6 +17,7 @@ from weylalg.factor import (
     _good_prime,
     _ladder,
     _lift_tree,
+    _poly_key,
     _trunc,
 )
 from weylalg.polynomials import (
@@ -178,11 +179,36 @@ class TestOracle:
                 assert_matches_sympy(f)
 
 
+def test_poly_key_is_the_key_of_the_reduced_terms():
+    rng = random.Random(31)
+    for _ in range(200):
+        coeffs = {e: F(rng.randint(-20, 20), rng.randint(1, 12)) for e in range(rng.randint(0, 6))}
+        f = Poly(coeffs.items())
+        assert _poly_key(f) == (f.degree, tuple((e, c.numerator, c.denominator) for e, c in f.terms))
+
+
+def split_mod_p(f, p, rng):
+    """The irreducible factors of a monic squarefree f in F_p[x], sorted,
+    from _gf_ddf then _gf_edf."""
+    return sorted(u for g, d in _gf_ddf(f, p) for u in _gf_edf(g, d, p, rng))
+
+
+def sympy_split_mod_p(f, p):
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor_sqf
+
+    return sorted(u[::-1] for u in gf_factor_sqf(f[::-1], p, ZZ)[1])  # sympy: descending
+
+
+def first_odd_prime_from(n):
+    return next(q for q in itertools.count(max(n, 3)) if all(q % k for k in range(2, q)))
+
+
 def test_finite_field_splitting_against_sympy():
     """_gf_ddf then _gf_edf give sympy's irreducible factors in F_p[x]."""
     pytest.importorskip("sympy")
     from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_factor_sqf, gf_sqf_p
+    from sympy.polys.galoistools import gf_sqf_p
 
     rng = random.Random(24)
     checked = 0
@@ -191,10 +217,58 @@ def test_finite_field_splitting_against_sympy():
         f = [rng.randrange(p) for _ in range(rng.randint(1, 12))] + [1]  # monic, ascending
         if not gf_sqf_p(f[::-1], p, ZZ):
             continue
-        mine = sorted(u for g, d in _gf_ddf(f, p) for u in _gf_edf(g, d, p, rng))
-        theirs = sorted(u[::-1] for u in gf_factor_sqf(f[::-1], p, ZZ)[1])  # sympy: descending
-        assert mine == theirs, (f, p)
+        assert split_mod_p(f, p, rng) == sympy_split_mod_p(f, p), (f, p)
         checked += 1
+
+
+def test_finite_field_splitting_many_roots_mod_small_primes():
+    # most of the residues are roots, next to a random cofactor
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_sqf_p
+
+    rng = random.Random(28)
+    checked = 0
+    while checked < 150:
+        p = rng.choice([3, 5, 7])
+        f = [1]
+        for a in rng.sample(range(p), rng.randint(2, p)):
+            f = _gf_normal(_mul(f, [-a, 1]), p)
+        f = _gf_normal(_mul(f, [rng.randrange(p) for _ in range(rng.randint(0, 4))] + [1]), p)
+        if not gf_sqf_p(f[::-1], p, ZZ):
+            continue
+        mine = split_mod_p(f, p, rng)
+        assert mine == sympy_split_mod_p(f, p), (f, p)
+        assert sum(len(u) == 2 for u in mine) >= 2
+        checked += 1
+
+
+def test_finite_field_splitting_rising_products():
+    # H (H+1) ... (H+n-1) mod the first odd prime p >= n: the linear part
+    # is all of it, found by evaluation at every residue, with no rng
+    pytest.importorskip("sympy")
+    for n in range(2, 91):
+        p = first_odd_prime_from(n)
+        f = _gf_monic(_gf_normal(clear_denominators(rising_product(n))[1], p), p)
+        ((g, d),) = _gf_ddf(f, p)
+        assert d == 1 and g == f
+        linear = sorted(_gf_edf(g, 1, p, None))
+        assert linear == sorted([a, 1] for a in range(n)) == sympy_split_mod_p(f, p)
+
+
+def test_finite_field_splitting_primorial_leading_coefficient():
+    # every odd prime below 2000 divides the leading coefficient, so the
+    # linear factors are found by evaluation at more than 2000 residues
+    pytest.importorskip("sympy")
+    f = (PRODUCT_OF_ODD_PRIMES_BELOW_2000 * H + 1) * (H + 1) * (H - 2) * (H + 5) * (H**2 + 3)
+    dense = clear_denominators(f)[1]
+    p = _good_prime(dense)
+    assert p > 2000
+    fp = _gf_monic(_gf_normal(dense, p), p)
+    mine = split_mod_p(fp, p, random.Random(29))
+    assert mine == sympy_split_mod_p(fp, p)
+    assert sum(len(u) == 2 for u in mine) >= 4
+    assert_matches_sympy(f)
 
 
 def test_finite_field_gcds_of_zero():
@@ -288,10 +362,7 @@ class TestPrimeSearch:
         # and n distinct roots mod every larger prime
         for n in range(2, 90):
             f = clear_denominators(rising_product(n))[1]
-            first_odd_prime_from_n = next(
-                q for q in itertools.count(max(n, 3)) if all(q % k for k in range(2, q))
-            )
-            assert _good_prime(f) == reference_prime(f) == first_odd_prime_from_n
+            assert _good_prime(f) == reference_prime(f) == first_odd_prime_from(n)
 
     def test_random_squarefree_polynomials(self):
         rng = random.Random(27)
@@ -399,6 +470,42 @@ class TestEarlyDetection:
             # lc(cofactor) * u mod p^e loses its leading coefficient at such
             # a rung, yet a factor can still be found there
             assert any(hit and 2 * current[-1] >= m for m, current, _, hit in trials)
+
+
+def top_down_factor_tree(p, modular, lo, hi):
+    """The factor tree with each node's g and h multiplied out from its leaves."""
+    if hi - lo == 1:
+        return lo
+    mid = (lo + hi) // 2
+    g = h = [1]
+    for u in modular[lo:mid]:
+        g = _gf_normal(_mul(g, u), p)
+    for u in modular[mid:hi]:
+        h = _gf_normal(_mul(h, u), p)
+    s, t, _ = _gf_gcdex(g, h, p)
+    return [*(_trunc(u, p) for u in (g, h, s, t)),
+            top_down_factor_tree(p, modular, lo, mid), top_down_factor_tree(p, modular, mid, hi)]
+
+
+def test_factor_tree_matches_products_of_its_leaves():
+    # the tree is built bottom up; each node equals the one multiplied out
+    # from its range of leaves
+    for n in (2, 3, 5, 8, 13, 40):
+        p = first_odd_prime_from(n)
+        f = _gf_monic(_gf_normal(clear_denominators(rising_product(n))[1], p), p)
+        modular = split_mod_p(f, p, None)
+        assert _factor_tree(p, modular) == top_down_factor_tree(p, modular, 0, n)
+    rng = random.Random(30)
+    checked = 0
+    while checked < 30:
+        p = rng.choice([5, 7, 11, 13])
+        f = [rng.randrange(p) for _ in range(rng.randint(3, 14))] + [1]
+        if len(_gf_gcd(f, _derivative(f), p)) != 1:
+            continue
+        modular = split_mod_p(f, p, rng)
+        if len(modular) > 1:
+            assert _factor_tree(p, modular) == top_down_factor_tree(p, modular, 0, len(modular))
+            checked += 1
 
 
 def test_factor_tree_invariants_on_each_rung():

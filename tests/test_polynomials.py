@@ -6,7 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylalg import NEG_INF, DomainError, Poly, RatFunc, delta_op, monic_split, rat_deg, sigma_pow
-from weylalg.polynomials import _P, _coprime, clear_denominators, falling_window, poly_gcd, poly_sum
+from weylalg.polynomials import (
+    _P,
+    _add,
+    _coprime,
+    _gf_divmod,
+    _gf_normal,
+    _mul,
+    _strip,
+    _sub,
+    clear_denominators,
+    falling_window,
+    poly_gcd,
+    poly_sum,
+)
 from helpers import random_poly, random_ratfunc
 
 H = Poly.gen()
@@ -354,6 +367,58 @@ class TestGcd:
         assert not _coprime(g._c, g.derivative()._c)
         assert poly_gcd(g, g.derivative()) == H + F(1, _P) == sympy_monic_gcd(g, g.derivative())
         assert RatFunc(g, f * (H - 1)) == RatFunc(H + F(1, _P), H - 1)
+
+
+def stepwise_gf_divmod(f, g, m):
+    """Division by g in (Z/m)[x], lc(g) a unit mod m, reducing every
+    coefficient after every step."""
+    rem = _strip([a % m for a in f])
+    n = len(g) - 1
+    if len(rem) - 1 < n:
+        return [], rem
+    inv = pow(g[-1], -1, m)
+    quo = [0] * (len(rem) - n)
+    for shift in range(len(quo) - 1, -1, -1):
+        c = rem[shift + n] * inv % m
+        quo[shift] = c
+        for j, b in enumerate(g):
+            rem[shift + j] = (rem[shift + j] - c * b) % m
+    return _strip(quo), _strip(rem[:n])
+
+
+big_ints = st.integers(-(10**40), 10**40)
+
+
+@st.composite
+def gf_division_cases(draw):
+    """(f, g, m) for m a small prime, a prime power with g monic (the
+    Hensel case, g in symmetric range) or 2^61 - 1; f unreduced."""
+    kind = draw(st.sampled_from(["prime", "prime power", "mersenne"]))
+    if kind == "prime":
+        m = draw(st.sampled_from([2, 3, 5, 7, 11, 101]))
+    elif kind == "prime power":
+        m = draw(st.sampled_from([3, 5, 7])) ** draw(st.integers(2, 9))
+    else:
+        m = _P
+    f = draw(st.lists(big_ints, max_size=30))
+    if kind == "prime power":
+        g = draw(st.lists(st.integers(-(m // 2) + 1, m // 2), max_size=10)) + [1]
+    else:
+        g = draw(st.lists(big_ints, max_size=10)) + [draw(big_ints.filter(lambda a: a % m))]
+    return f, g, m
+
+
+class TestGfDivmod:
+    """_gf_divmod reduces once per division; the reference after every step."""
+
+    @given(gf_division_cases())
+    @KERNEL
+    def test_matches_stepwise_reduction(self, case):
+        f, g, m = case
+        q, r = _gf_divmod(f, g, m)
+        assert (q, r) == stepwise_gf_divmod(f, g, m)
+        assert len(r) < len(g)
+        assert _gf_normal(_sub(f, _add(_mul(q, g), r)), m) == []
 
 
 class TestMonicSplit:
