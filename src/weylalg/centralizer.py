@@ -25,7 +25,7 @@ from functools import cache
 
 from .errors import DomainError, TwistedRootInfeasible
 from .factor import FactoredPoly, _poly_key, factor_ratfunc
-from .polynomials import NEG_INF, Poly, RatFunc, sigma_pow
+from .polynomials import Poly, RatFunc, sigma_pow
 from .weyl import HomogeneousElement
 
 
@@ -184,8 +184,6 @@ def _twisted_root(alpha: RatFunc, k: int, s: int, direction: str, factored) -> R
     if k == 1:
         return alpha
     deg = alpha.degree
-    if deg is NEG_INF:
-        raise DomainError("alpha must be nonzero")
     if deg % k:
         raise TwistedRootInfeasible(
             InfeasibilityCertificate(divisor=s, kind="degree", forced_degree=(deg, k))

@@ -355,9 +355,10 @@ def _case_v_cells(pattern, bounds, table):
 
 # sweep pattern -> its cells, in report order
 _SWEEPS = {"case-ii": _case_ii_cells, "case-iii": _case_iii_cells, "case-v": _case_v_cells}
+_SWEEP_CAP = 16  # the largest bound a sweep accepts
 
 
-def impossibility_sweep(pattern: str, bounds: dict, cap: int = 16) -> SweepReport:
+def impossibility_sweep(pattern: str, bounds: dict) -> SweepReport:
     """Exhaustive exact-linear-algebra sweep over one excluded configuration.
 
     bounds has exactly the keys p, q, max_coeff_deg.  Cells are independent and run in
@@ -373,8 +374,8 @@ def impossibility_sweep(pattern: str, bounds: dict, cap: int = 16) -> SweepRepor
             raise DomainError(f"bounds must include {key!r}")
         if type(bounds[key]) is not int or bounds[key] < 0:
             raise DomainError(f"bound {key!r} must be a nonnegative integer")
-        if bounds[key] > cap:
-            raise DomainError(f"bound {key!r} = {bounds[key]} exceeds the cap {cap}")
+        if bounds[key] > _SWEEP_CAP:
+            raise DomainError(f"bound {key!r} = {bounds[key]} exceeds the cap {_SWEEP_CAP}")
     if bounds["p"] < 1 or bounds["q"] < 1:
         raise DomainError("bounds p and q must be at least 1")
     table = _column_table()  # shared by the cells of this sweep only

@@ -13,11 +13,12 @@ polynomial shares with its derivative mod p, where one exists, before any
 gcd.  The modular factors are lifted together, on one factor tree built
 bottom up once mod p, up the ladder of exponents ceil(l / 2**i) to
 exactly p**l, where p**l exceeds twice a Mignotte-style coefficient
-bound.  After each rung every lifted factor still open is tried by exact
-division, so most factors are found well below p**l; lifting stops once
-at most one is open, and only the factors still open at p**l go to
-recombination.  Everything is exact integer arithmetic; the returned
-bases are monic irreducible polynomials over Q.
+bound.  After each rung one loop tries the open lifted factors by exact
+division, singly below p**l and in subsets at p**l, so most factors are
+found well below p**l and lifting stops once fewer than two are open.
+Residues mod p**e stay in [0, p**e); only a candidate over Z is read off
+in the symmetric range.  Everything is exact integer arithmetic; the
+returned bases are monic irreducible polynomials over Q.
 
 Integer polynomials are int lists, ascending, as Poly stores them; their
 Z[x] arithmetic, and the F_p[x] reduction, division and gcd, come from
@@ -127,22 +128,6 @@ def _trunc(f, m):
 # arithmetic in F_p[x]
 # ----------------------------------------------------------------------
 
-def _gf_mul(f, g, p):
-    return _gf_normal(_mul(f, g), p)
-
-
-def _gf_sub(f, g, p):
-    return _gf_normal(_sub(f, g), p)
-
-
-def _gf_rem(f, g, p):
-    return _gf_divmod(f, g, p)[1]
-
-
-def _gf_quo(f, g, p):
-    return _gf_divmod(f, g, p)[0]
-
-
 def _gf_gcdex(f, g, p):
     """Extended Euclid: returns (s, t, h) with s*f + t*g = h, h monic gcd."""
     r0, r1 = _gf_normal(f, p), _gf_normal(g, p)
@@ -151,8 +136,8 @@ def _gf_gcdex(f, g, p):
     while r1:
         q, r = _gf_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _gf_sub(s0, _mul(q, s1), p)
-        t0, t1 = t1, _gf_sub(t0, _mul(q, t1), p)
+        s0, s1 = s1, _gf_normal(_sub(s0, _mul(q, s1)), p)
+        t0, t1 = t1, _gf_normal(_sub(t0, _mul(q, t1)), p)
     if not r0:
         return s0, t0, r0
     inv = pow(r0[-1], -1, p)
@@ -170,11 +155,11 @@ def _gf_eval(f, a, p):
 
 def _gf_pow_mod(base, n, f, p):
     result = [1]
-    base = _gf_rem(base, f, p)
+    base = _gf_divmod(base, f, p)[1]
     while n:
         if n & 1:
-            result = _gf_rem(_mul(result, base), f, p)
-        base = _gf_rem(_mul(base, base), f, p)
+            result = _gf_divmod(_mul(result, base), f, p)[1]
+        base = _gf_divmod(_mul(base, base), f, p)[1]
         n >>= 1
     return result
 
@@ -193,8 +178,8 @@ def _gf_ddf(f, p):
         g = _gf_gcd(_sub(h, [0, 1]), f, p)
         if len(g) > 1:
             factors.append((g, d))
-            f = _gf_quo(f, g, p)
-            h = _gf_rem(h, f, p)
+            f = _gf_divmod(f, g, p)[0]
+            h = _gf_divmod(h, f, p)[1]
         d += 1
     if len(f) > 1:
         factors.append((f, len(f) - 1))
@@ -226,7 +211,7 @@ def _gf_edf(g, d, p, rng):
         a = _strip([rng.randrange(p) for _ in range(n)])
         b = _gf_gcd(_sub(_gf_pow_mod(a, (p**d - 1) // 2, g, p), [1]), g, p)
         if 0 < len(b) - 1 < n:
-            return _gf_edf(b, d, p, rng) + _gf_edf(_gf_quo(g, b, p), d, p, rng)
+            return _gf_edf(b, d, p, rng) + _gf_edf(_gf_divmod(g, b, p)[0], d, p, rng)
 
 
 # ----------------------------------------------------------------------
@@ -237,19 +222,20 @@ def _hensel_step(M, f, g, h, s, t, last):
     """One lift of f = g*h from mod m to mod M, for any M dividing m**2.
 
     Requires f = g*h and s*g + t*h = 1 (mod m), h monic; dividing by a
-    monic h is exact modulo any M, so _gf_divmod serves for M.  On the last
-    rung nothing lifts further, so s and t come back as they were.
+    monic h is exact modulo any M, so _gf_divmod serves for M, and residues
+    stay in [0, M) as it returns them.  On the last rung nothing lifts
+    further, so s and t come back as they were.
     """
-    e = _trunc(_sub(f, _mul(g, h)), M)
-    q, r = (_trunc(u, M) for u in _gf_divmod(_mul(s, e), h, M))
-    g1 = _trunc(_add(_add(g, _mul(t, e)), _mul(q, g)), M)
-    h1 = _trunc(_add(h, r), M)
+    e = _gf_normal(_sub(f, _mul(g, h)), M)
+    q, r = _gf_divmod(_mul(s, e), h, M)
+    g1 = _gf_normal(_add(_add(g, _mul(t, e)), _mul(q, g)), M)
+    h1 = _gf_normal(_add(h, r), M)
     if last:
         return g1, h1, s, t
-    b = _trunc(_sub(_add(_mul(s, g1), _mul(t, h1)), [1]), M)
-    c, d = (_trunc(u, M) for u in _gf_divmod(_mul(s, b), h1, M))
-    s1 = _trunc(_sub(s, d), M)
-    t1 = _trunc(_sub(_sub(t, _mul(t, b)), _mul(c, g1)), M)
+    b = _gf_normal(_sub(_add(_mul(s, g1), _mul(t, h1)), [1]), M)
+    c, d = _gf_divmod(_mul(s, b), h1, M)
+    s1 = _gf_normal(_sub(s, d), M)
+    t1 = _gf_normal(_sub(_sub(t, _mul(t, b)), _mul(c, g1)), M)
     return g1, h1, s1, t1
 
 
@@ -270,13 +256,13 @@ def _factor_tree(p, modular, lo=0, hi=None):
     left = _factor_tree(p, modular, lo, mid)
     right = _factor_tree(p, modular, mid, hi)
     g, h = (
-        _gf_mul(child[0], child[1], p) if isinstance(child, list) else modular[child]
+        _gf_normal(_mul(child[0], child[1]), p) if isinstance(child, list) else modular[child]
         for child in (left, right)
     )
     s, t, one = _gf_gcdex(g, h, p)
     if one != [1]:
         raise RuntimeError("modular factors are not coprime; bad prime slipped through")
-    return [*(_trunc(u, p) for u in (g, h, s, t)), left, right]
+    return [g, h, s, t, left, right]
 
 
 def _lift_tree(tree, f, M, last, lifted):
@@ -305,17 +291,18 @@ def _ladder(l):
 
 
 def _exact_quotient(f, g):
-    """f / g when the primitive g divides f in Z[x], else None.
+    """f / g when the primitive g divides the nonzero f in Z[x], else None.
 
     g divides f only if its constant term divides f's, which rules most
-    candidates out before any division.
+    candidates out before any division.  No remainder means f = q*g over
+    Q, and then q is in Z[x] (Gauss's lemma), so every leading coefficient
+    the division meets is a multiple of lc(g): it never scales, and the
+    quotient is q.
     """
     if f[0] % g[0] if g[0] else f[0]:
         return None
-    quotient, rem, scale = _pseudo_divmod(f, g)
-    if rem or any(c % scale for c in quotient):
-        return None
-    return [c // scale for c in quotient]
+    quotient, rem, _ = _pseudo_divmod(f, g)
+    return None if rem else quotient
 
 
 def _good_prime(f):
@@ -361,56 +348,42 @@ def _zassenhaus(f):
     )
 
     l = 1
-    pl = p
-    while pl <= 2 * bound:
-        pl *= p
+    while p**l <= 2 * bound:
         l += 1
 
-    # Lift the whole factor tree one rung at a time and try each open factor
-    # after each rung.  A lifted factor u that gives a divisor of f is
-    # irreducible over Z: the divisor is a unit times u mod p, since p does
-    # not divide lc(f), and u is irreducible mod p.
+    # Lift the tree one rung at a time; after each rung try the open factors
+    # by exact division, restarting after each hit.  Below p**l only single
+    # factors are tried, and a hit is irreducible: it is a unit times u mod
+    # p, as p does not divide lc(f), and u is irreducible mod p.  At p**l
+    # each hit takes at most half of the open factors, so the cofactor left
+    # at the end is never constant.
     tree = _factor_tree(p, modular)
-    lifted = [_trunc(u, p) for u in modular]
+    lifted = list(modular)
     remaining = list(range(len(modular)))
     current = list(f)
     found = []
     for e in _ladder(l):
+        if len(remaining) < 2:
+            break
         pe = p**e
         if e > 1:
-            target = _trunc(_mul(f, [pow(lead, -1, pe)]), pe)
+            target = _gf_normal(_mul(f, [pow(lead, -1, pe)]), pe)
             _lift_tree(tree, target, pe, e == l, lifted)
-        if e == l:
-            break
-        for i in remaining[:]:
-            cand = _primitive(_trunc(_mul([current[-1]], lifted[i]), pe))[1]
-            quotient = _exact_quotient(current, cand)
-            if quotient is not None:
-                found.append(cand)
-                current = quotient
-                remaining.remove(i)
-                if len(remaining) == 1:  # so the cofactor is irreducible mod p
-                    return found + [current]
-
-    # recombine the factors still open at p**l; each hit takes at most half
-    # of them, so the cofactor left at the end is never constant
-    size = 1
-    while 2 * size <= len(remaining):
-        hit = False
-        for subset in itertools.combinations(remaining, size):
-            cand = [current[-1]]
-            for i in subset:
-                cand = _trunc(_mul(cand, lifted[i]), pl)
-            cand = _primitive(cand)[1]
-            quotient = _exact_quotient(current, cand)
-            if quotient is not None:
-                found.append(cand)
-                current = quotient
-                remaining = [i for i in remaining if i not in subset]
-                hit = True
-                break
-        if not hit:
-            size += 1
+        size = 1
+        while 2 * size <= len(remaining) and (size == 1 or e == l):
+            for subset in itertools.combinations(remaining, size):
+                cand = [current[-1]]
+                for i in subset:
+                    cand = _trunc(_mul(cand, lifted[i]), pe)
+                cand = _primitive(cand)[1]
+                quotient = _exact_quotient(current, cand)
+                if quotient is not None:
+                    found.append(cand)
+                    current = quotient
+                    remaining = [i for i in remaining if i not in subset]
+                    break
+            else:
+                size += 1
     return found + [current]
 
 

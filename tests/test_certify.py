@@ -242,8 +242,10 @@ class TestSweep:
             assert delta_balance_check(a, b, cell.p, cell.q) == Poly.one()
 
     def test_bounds_cap(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="bound 'p' = 100 exceeds the cap 16"):
             impossibility_sweep("case-ii", {"p": 100, "q": 2, "max_coeff_deg": 2})
+        with pytest.raises(DomainError, match="bounds p and q must be at least 1"):
+            impossibility_sweep("case-ii", {"p": 0, "q": 2, "max_coeff_deg": 2})
         with pytest.raises(DomainError):
             impossibility_sweep("case-ix", {"p": 2, "q": 2, "max_coeff_deg": 2})
 
@@ -258,6 +260,8 @@ class TestSweep:
         bounds = {"p": 2, "q": 2, "max_coeff_deg": 0, "junk": [1, 2]}
         with pytest.raises(DomainError, match="unknown bound 'junk'"):
             impossibility_sweep("case-ii", bounds)
+        with pytest.raises(DomainError, match="bounds must include 'max_coeff_deg'"):
+            impossibility_sweep("case-ii", {"p": 2, "q": 2})
 
     def test_sweep_is_deterministic(self):
         bounds = {"p": 2, "q": 2, "max_coeff_deg": 2}

@@ -161,6 +161,9 @@ class TestCentralizerCommand:
 
     def test_non_homogeneous_rejected(self, capsys):
         assert run_cli(capsys, "centralizer", "X + Y")[0] == 3
+        assert run_cli(capsys, "centralizer", "0") == (
+            3, "", "error: the zero element is not homogeneous\n"
+        )
 
     def test_lead_divisible_by_every_small_prime(self, capsys):
         # factoring the numerator H^2 + 1/N must look past the primes below 2000

@@ -4,9 +4,11 @@ from fractions import Fraction as F
 from math import gcd, isqrt, prod
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from weylalg import DomainError, Poly, RatFunc, factor, factor_poly, factor_ratfunc, is_irreducible
 from weylalg.factor import (
+    _exact_quotient,
     _factor_tree,
     _gf_ddf,
     _gf_edf,
@@ -26,6 +28,8 @@ from weylalg.polynomials import (
     _coprime,
     _derivative,
     _mul,
+    _pseudo_divmod,
+    _strip,
     _sub,
     clear_denominators,
     poly_gcd,
@@ -471,6 +475,67 @@ class TestEarlyDetection:
             # a rung, yet a factor can still be found there
             assert any(hit and 2 * current[-1] >= m for m, current, _, hit in trials)
 
+    @pytest.mark.parametrize("n", [8, 40])
+    def test_lifting_stops_once_fewer_than_two_factors_are_open(self, monkeypatch, n):
+        # H (H+1) ... (H+n-1) splits into linear factors mod p, so a hit of
+        # degree k closes k of them; most close at p, the rest one rung up
+        f = clear_denominators(rising_product(n))[1]
+        state = {"open": n}
+        lifts = []
+        lift, divide = factor._lift_tree, factor._exact_quotient
+
+        def spy_lift(tree, target, M, last, lifted):
+            lifts.append((M, last, state["open"]))
+            lift(tree, target, M, last, lifted)
+
+        def spy_divide(current, cand):
+            quotient = divide(current, cand)
+            if quotient is not None:
+                state["open"] -= len(cand) - 1
+            return quotient
+
+        monkeypatch.setattr(factor, "_lift_tree", spy_lift)
+        monkeypatch.setattr(factor, "_exact_quotient", spy_divide)
+        found = factor._zassenhaus(f)
+        monkeypatch.undo()
+        assert sorted(found) == sorted([a, 1] for a in range(n))
+        assert state["open"] == 1
+        assert lifts and all(k >= 2 for _, _, k in lifts)
+        assert not any(last for _, last, _ in lifts)  # the top rung is never lifted to
+
+
+int_lists = st.lists(st.integers(-50, 50), max_size=6)
+nonzero = st.integers(-30, 30).filter(bool)
+# primitive integer polynomials of degree >= 1 with lc in 1..30
+primitive_polys = st.builds(
+    lambda low, lc: low + [lc], int_lists.filter(bool), st.integers(1, 30)
+).filter(lambda g: gcd(*g) == 1)
+
+
+class TestExactQuotient:
+    """One pseudo-division with no remainder decides g | f for a primitive g."""
+
+    @given(primitive_polys, int_lists, nonzero)
+    @settings(max_examples=150, deadline=None)
+    def test_multiples_divide(self, g, q, lc):
+        # the division of a multiple never scales, so no remainder decides
+        q = q + [lc]
+        assert _pseudo_divmod(_mul(q, g), g) == (q, [], 1)
+        assert _exact_quotient(_mul(q, g), g) == q
+
+    @given(primitive_polys, int_lists, nonzero, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_remainder_rules_out_division(self, g, q, lc, data):
+        low = st.lists(st.integers(-50, 50), min_size=len(g) - 1, max_size=len(g) - 1)
+        r = _strip(data.draw(low.filter(any)))
+        assert _exact_quotient(_add(_mul(q + [lc], g), r), g) is None
+
+    @given(primitive_polys, int_lists, st.integers(-900, 900))
+    @settings(max_examples=150, deadline=None)
+    def test_leading_coefficient_rules_out_division(self, g, low, lc):
+        assume(lc % g[-1])
+        assert _exact_quotient(low + [lc], g) is None
+
 
 def top_down_factor_tree(p, modular, lo, hi):
     """The factor tree with each node's g and h multiplied out from its leaves."""
@@ -483,7 +548,7 @@ def top_down_factor_tree(p, modular, lo, hi):
     for u in modular[mid:hi]:
         h = _gf_normal(_mul(h, u), p)
     s, t, _ = _gf_gcdex(g, h, p)
-    return [*(_trunc(u, p) for u in (g, h, s, t)),
+    return [g, h, s, t,
             top_down_factor_tree(p, modular, lo, mid), top_down_factor_tree(p, modular, mid, hi)]
 
 
@@ -526,7 +591,7 @@ def test_factor_tree_invariants_on_each_rung():
         if len(modular) < 2:
             continue
         tree = _factor_tree(p, modular)
-        lifted = [_trunc(u, p) for u in modular]
+        lifted = list(modular)
         l = rng.randint(2, 12)
         rungs = _ladder(l)
         assert rungs[0] == 1 and rungs[-1] == l
@@ -534,9 +599,10 @@ def test_factor_tree_invariants_on_each_rung():
         for e in rungs:
             pe = p**e
             if e > 1:
-                target = _trunc(_mul(f, [pow(f[-1], -1, pe)]), pe)
+                target = _gf_normal(_mul(f, [pow(f[-1], -1, pe)]), pe)
                 _lift_tree(tree, target, pe, e == l, lifted)
             assert [len(u) for u in lifted] == [len(u) for u in modular]
+            assert all(0 <= a < pe for u in lifted for a in u)
             assert all(u[-1] == 1 for u in lifted)
             product = [f[-1]]
             for u in lifted:

@@ -43,6 +43,8 @@ class TestPoly:
         assert (H + 1) * (H - 1) == H**2 - 1
         assert divmod(H**3 - 1, H - 1) == (H**2 + H + 1, Poly.zero())
         assert (H**2 + 1) % (H - 3) == Poly.constant(10)
+        with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+            divmod(H, Poly.zero())
 
     def test_monic(self):
         assert (2 * H + 4).monic() == H + 2
