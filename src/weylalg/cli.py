@@ -14,12 +14,12 @@ import argparse
 import json
 import sys
 
-from .centralizer import centralizer_generator, centralizer_rational
-from .certify import certify_pair, impossibility_sweep
+# reading and printing elements needs these; the modules behind the other
+# commands (centralizer with factor, certify, tame) are imported by the
+# command that runs, so a normalize call never compiles them
 from .errors import DomainError, OutOfScopeError, ParseError
 from .parser import format_pretty, normalize_text, print_canonical
 from .polynomials import NEG_INF, rat_to_str
-from .tame import AutoWord, apply_auto, random_tame
 from .weyl import HomogeneousElement, commutator, mass, total_degree
 
 
@@ -61,6 +61,8 @@ def _cmd_degree(args):
 
 
 def _cmd_centralizer(args):
+    from .centralizer import centralizer_generator, centralizer_rational
+
     element = normalize_text(args.expr)
     comps = element.components()
     if not comps:
@@ -90,12 +92,16 @@ def _cmd_centralizer(args):
 
 
 def _cmd_certify(args):
+    from .certify import certify_pair
+
     P = normalize_text(args.left)
     Q = normalize_text(args.right)
     return _emit(args, certify_pair(P, Q))
 
 
 def _cmd_sweep(args):
+    from .certify import impossibility_sweep
+
     bounds = {"p": args.p, "q": args.q, "max_coeff_deg": args.max_coeff_deg}
     report = impossibility_sweep(args.pattern, bounds)
     if args.json:
@@ -109,6 +115,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_random_auto(args):
+    from .tame import random_tame
+
     word = random_tame(
         args.seed, word_len=args.word_len, max_n=args.max_n, coeff_height=args.coeff_height
     )
@@ -116,6 +124,8 @@ def _cmd_random_auto(args):
 
 
 def _cmd_apply(args):
+    from .tame import AutoWord, apply_auto
+
     with open(args.word_file, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle)

@@ -33,7 +33,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import DomainError
 from .polynomials import (
@@ -48,6 +48,7 @@ from .polynomials import (
     _mul,
     _primitive,
     _pseudo_divmod,
+    _reduced_terms,
     _strip,
     _sub,
     clear_denominators,
@@ -99,13 +100,7 @@ class FactoredPoly:
 def _poly_key(f: Poly):
     """(degree, ((e, numerator, denominator), ...)) over the nonzero terms of
     f, ascending, read from its stored integers without building Fractions."""
-    den = f._den
-    terms = []
-    for e, c in enumerate(f._c):
-        if c:
-            g = gcd(c, den)
-            terms.append((e, c // g, den // g))
-    return (f.degree, tuple(terms))
+    return (f.degree, tuple(_reduced_terms(f)))
 
 
 # ----------------------------------------------------------------------

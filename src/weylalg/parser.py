@@ -259,6 +259,10 @@ class _Values:
 
     @staticmethod
     def product(factors):
+        if len(factors) == 2 and type(factors[0]) is Fraction and type(factors[1]) is Poly:
+            # c*H^e, the shape of each printed coefficient term: the Poly
+            # scales its integer list, with no detour through Fraction.__mul__
+            return factors[1] * factors[0]
         return reduce(operator.mul, factors)
 
     @staticmethod

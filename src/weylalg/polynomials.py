@@ -267,8 +267,20 @@ def _poly(coeffs, den=1) -> "Poly":
     return _stored(tuple(coeffs), den)
 
 
+def _reduced_terms(f: "Poly") -> list:
+    """[(e, numerator, denominator), ...] of the nonzero terms of f, ascending,
+    each coefficient in lowest terms, read off the stored integers."""
+    den = f._den
+    out = []
+    for e, c in enumerate(f._c):
+        if c:
+            g = gcd(c, den)
+            out.append((e, c // g, den // g))
+    return out
+
+
 def _stored(coeffs: tuple, den: int) -> "Poly":
-    """A Poly from fields already in canonical form."""
+    """A Poly from fields already in canonical form (or a term only poly_sum reads)."""
     p = object.__new__(Poly)
     p._c = coeffs
     p._den = den
@@ -281,17 +293,20 @@ class Poly:
     __slots__ = ("_c", "_den")
 
     def __init__(self, terms=()):
-        acc: dict[int, Fraction] = {}
+        # the numerators are summed over the lcm of the term denominators,
+        # and only the sum is put in canonical form
+        kept = []
         for exp, coeff in terms:
             if not isinstance(exp, int) or exp < 0:
                 raise ValueError(f"exponent must be a nonnegative integer, got {exp!r}")
-            c = _as_fraction(coeff)
-            if c:
-                acc[exp] = acc.get(exp, 0) + c
-        den = lcm(*(c.denominator for c in acc.values()))
-        coeffs = [0] * (max(acc) + 1 if acc else 0)
-        for exp, c in acc.items():
-            coeffs[exp] = c.numerator * (den // c.denominator)
+            if type(coeff) is not int:
+                coeff = _as_fraction(coeff)
+            if coeff:
+                kept.append((exp, coeff))
+        den = lcm(*(c.denominator for _, c in kept))
+        coeffs = [0] * (max(e for e, _ in kept) + 1 if kept else 0)
+        for exp, c in kept:
+            coeffs[exp] += c.numerator * (den // c.denominator)
         p = _poly(coeffs, den)
         self._c, self._den = p._c, p._den
 
@@ -411,7 +426,7 @@ class Poly:
         """
         acc = None
         for f, g, c in terms:
-            p = _mul(f._c, g._c)
+            p = list(f._c) if g is _ONE else _mul(f._c, g._c)
             if c is not _ONE:
                 p = _mul(p, c._c)
             d = f._den * g._den * c._den
@@ -512,7 +527,7 @@ class Poly:
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
-        return {"poly": [[e, rat_to_str(c)] for e, c in self.terms]}
+        return {"poly": [[e, f"{_digits(n)}/{_digits(d)}"] for e, n, d in _reduced_terms(self)]}
 
     @staticmethod
     def from_json(obj) -> "Poly":
@@ -524,17 +539,17 @@ class Poly:
         if not self._c:
             return "0"
         parts = []
-        for e, c in reversed(self.terms):
-            mag = abs(c)
-            if e == 0:
-                body = rat_format(mag)
-            else:
+        for e, n, d in reversed(_reduced_terms(self)):
+            mag = _digits(abs(n)) if d == 1 else f"{_digits(abs(n))}/{_digits(d)}"
+            if e:
                 var = "H" if e == 1 else f"H^{e}"
-                body = var if mag == 1 else f"{rat_format(mag)}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                body = var if mag == "1" else f"{mag}*{var}"
             else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
+                body = mag
+            if not parts:
+                parts.append(body if n > 0 else f"-{body}")
+            else:
+                parts.append(f" + {body}" if n > 0 else f" - {body}")
         return "".join(parts)
 
     def __str__(self):
@@ -837,9 +852,13 @@ def poly_sum(terms) -> Poly:
     """The sum of a nonempty list of Polys and rationals, as one Poly.
 
     Each term enters Poly.sum_of_products as the product t * 1 * 1, so the
-    terms are added on one integer list and put in canonical form once.
+    terms are added on one integer list and put in canonical form once.  A
+    rational term enters as its numerator over its denominator with no
+    canonical form of its own (a zero stays [0]): only the sum reads it.
     """
-    return Poly.sum_of_products([(t if type(t) is Poly else Poly.constant(t), _ONE, _ONE) for t in terms])
+    return Poly.sum_of_products([
+        (t if type(t) is Poly else _stored((t.numerator,), t.denominator), _ONE, _ONE) for t in terms
+    ])
 
 
 def poly_from_int_coeffs(coeffs) -> Poly:

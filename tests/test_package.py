@@ -1,0 +1,130 @@
+"""The package imports its submodules on first use.
+
+Each fresh-interpreter check runs in a subprocess, since this process has
+imported most of the package already.
+"""
+
+import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import weylalg
+from weylalg import parser
+
+ROOT = Path(__file__).resolve().parent.parent
+SUBMODULES = ("centralizer", "certify", "errors", "factor", "parser", "polynomials", "tame", "weyl")
+
+
+def fresh(*args, code=None):
+    """stdout and stderr of a new interpreter with src/ on its path."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cmd = [sys.executable, *args] if code is None else [sys.executable, "-c", code]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, proc.stderr
+
+
+def loaded_after(code):
+    """The weylalg modules a fresh interpreter holds after running code."""
+    out, _ = fresh(code=f"{code}\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('weylalg')))")
+    return out.split()
+
+
+class TestFreshInterpreter:
+    def test_import_loads_no_submodule(self):
+        assert loaded_after("import weylalg") == ["weylalg"]
+
+    def test_a_name_loads_only_what_its_module_imports(self):
+        assert loaded_after("import weylalg\nweylalg.Poly") == ["weylalg", "weylalg.errors", "weylalg.polynomials"]
+
+    def test_every_public_name_is_its_submodules_object(self):
+        code = f"""
+import importlib, weylalg
+for module in {SUBMODULES!r}:
+    sub = importlib.import_module('weylalg.' + module)
+    for name in weylalg._EXPORTS[module]:
+        assert getattr(weylalg, name) is getattr(sub, name), name
+    assert getattr(weylalg, module) is sub, module
+assert sorted(weylalg._MODULE_OF) == sorted(weylalg.__all__)
+"""
+        fresh(code=code)
+
+    def test_dir_covers_all_before_any_import(self):
+        fresh(code="import weylalg\nassert set(weylalg.__all__) <= set(dir(weylalg))")
+
+    def test_star_import_binds_every_public_name(self):
+        code = """
+import weylalg
+from weylalg import *
+assert all(globals()[name] is getattr(weylalg, name) for name in weylalg.__all__)
+"""
+        fresh(code=code)
+
+    def test_submodule_attribute_resolves_before_its_import(self):
+        out, _ = fresh(code="import weylalg\nprint(weylalg.tame.__name__)")
+        assert out == "weylalg.tame\n"
+
+    def test_unknown_name_is_an_attribute_error(self):
+        code = """
+import weylalg
+try:
+    weylalg.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise SystemExit("no AttributeError")
+"""
+        fresh(code=code)
+
+    def test_normalize_command_compiles_no_algorithm_module(self):
+        out, err = fresh("-X", "importtime", "-m", "weylalg.cli", "normalize", "X*Y")
+        assert out == "H - 1\n"
+        imported = {line.rsplit("|", 1)[1].strip() for line in err.splitlines() if line.startswith("import time:")}
+        assert "weylalg.parser" in imported
+        assert not imported & {"weylalg.factor", "weylalg.centralizer", "weylalg.certify", "weylalg.tame"}
+
+    def test_name_first_resolved_under_the_tracer_is_restored(self):
+        # the benchmark's tracer rebinds the library's functions while it runs
+        code = f"""
+import sys
+sys.path.insert(0, {str(ROOT / "bench")!r})
+import weylalg
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+traced = weylalg.impossibility_sweep
+tracer.uninstall()
+assert traced is not weylalg.certify.impossibility_sweep
+assert weylalg.impossibility_sweep is weylalg.certify.impossibility_sweep
+assert vars(weylalg)["impossibility_sweep"] is weylalg.certify.impossibility_sweep
+"""
+        fresh(code=code)
+
+
+class TestHook:
+    """The module hook itself, in this process."""
+
+    def test_submodule_by_name(self):
+        assert weylalg.__getattr__("tame") is sys.modules["weylalg.tame"]
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            weylalg.__getattr__("no_such_name")
+
+    def test_dir(self):
+        assert set(weylalg.__all__) | set(SUBMODULES) <= set(dir(weylalg))
+
+    def test_a_wrapper_is_not_kept(self, monkeypatch):
+        original = parser.parse
+        wrapper = functools.wraps(original)(lambda text: original(text))
+        monkeypatch.delitem(vars(weylalg), "parse", raising=False)
+        monkeypatch.setattr(parser, "parse", wrapper)
+        assert weylalg.parse is wrapper
+        assert "parse" not in vars(weylalg)
+        monkeypatch.undo()
+        assert weylalg.parse is original
+        assert vars(weylalg)["parse"] is original

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 from math import gcd
 
@@ -177,6 +178,89 @@ class TestKernelProperties:
         g = Poly(f.terms)
         assert g == f and hash(g) == hash(f)
         assert Poly(reversed(f.terms + f.terms)) == 2 * f
+
+
+def fraction_dict_terms(terms):
+    """The terms Poly(terms) holds, summed in a Fraction dict; bad terms raise
+    as Poly does: the first bad term decides, its exponent before its coefficient."""
+    acc = {}
+    for exp, coeff in terms:
+        if not isinstance(exp, int) or exp < 0:
+            raise ValueError(f"exponent must be a nonnegative integer, got {exp!r}")
+        if not isinstance(coeff, (int, F)):
+            raise TypeError(f"expected an integer or Fraction, got {type(coeff).__name__}")
+        acc[exp] = acc.get(exp, 0) + F(coeff)
+    return tuple((e, acc[e]) for e in sorted(acc) if acc[e])
+
+
+def outcome(make, terms):
+    try:
+        return make(terms)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def terms_format(f: Poly) -> str:
+    """Poly.format as rendered from the Fraction terms, descending."""
+    if f.is_zero():
+        return "0"
+    parts = []
+    for e, c in reversed(f.terms):
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            var = "H" if e == 1 else f"H^{e}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f" + {body}" if c > 0 else f" - {body}")
+    return "".join(parts)
+
+
+coefficients = st.one_of(st.integers(-10**30, 10**30), st.booleans(),
+                         st.fractions(max_denominator=10**6), rationals)
+term_lists = st.lists(st.tuples(st.integers(0, 6), coefficients), max_size=8)
+bad_exponents = st.one_of(st.integers(max_value=-1), st.just(1.0), st.just("2"), st.none())
+bad_coefficients = st.one_of(st.floats(allow_nan=False), st.just("1/2"), st.none(), st.just(1j))
+
+
+class TestConstructionAndPrinting:
+    @given(term_lists, st.data())
+    @KERNEL
+    def test_terms_match_a_fraction_dict(self, terms, data):
+        # cancelling pairs: each chosen term again with its coefficient negated
+        terms += [(e, -c) for e, c in terms if data.draw(st.booleans())]
+        terms = data.draw(st.permutations(terms))
+        f = Poly(iter(terms))
+        assert f.terms == fraction_dict_terms(terms)
+        assert f == Poly(fraction_dict_terms(terms)) and hash(f) == hash(Poly(f.terms))
+
+    @given(term_lists, st.one_of(st.integers(0, 3), bad_exponents),
+           st.one_of(rationals, bad_coefficients), term_lists)
+    @KERNEL
+    def test_bad_terms_raise_in_order(self, before, exp, coeff, after):
+        terms = before + [(exp, coeff)] + after + [(-1, "x")]
+        assert outcome(Poly, terms) == outcome(fraction_dict_terms, terms)
+
+    @given(term_lists)
+    @KERNEL
+    def test_format_matches_the_terms_rendering(self, terms):
+        f = Poly(terms)
+        assert f.format() == terms_format(f)
+        assert f.to_json() == {"poly": [[e, f"{c.numerator}/{c.denominator}"] for e, c in f.terms]}
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str limit")
+    @pytest.mark.parametrize("where", ["numerator", "denominator", "numerator_over_3"])
+    def test_too_many_digits_is_a_domain_error(self, where):
+        limit = sys.get_int_max_str_digits()
+        big = 10**limit  # limit + 1 digits
+        coeff = {"numerator": -big, "denominator": F(1, big), "numerator_over_3": F(big + 1, 3)}[where]
+        for f in (Poly([(0, coeff)]), Poly([(3, coeff), (1, 1)])):
+            for render in (f.format, f.to_json):
+                with pytest.raises(DomainError, match=f"more than {limit} digits"):
+                    render()
 
 
 class TestSigma:
