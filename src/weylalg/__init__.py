@@ -45,24 +45,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "AutoWord", "BElement", "CentralizerResult", "DomainError", "FactoredPoly",
-    "GradedElement", "H", "HomogeneousElement", "InfeasibilityCertificate",
-    "NEG_INF", "ONE", "Orbit", "OutOfScopeError", "ParseError", "PhiX", "PhiY",
-    "Poly", "PowerDecomposition", "Rat", "RatFunc", "SweepCell", "SweepReport",
-    "Torus", "Translate", "TwistedRootInfeasible", "WeylElement", "X", "Xi", "Y",
-    "ZERO", "affine_decompose", "apply_auto", "auto_images",
-    "centralizer_generator", "centralizer_rational", "certify_pair",
-    "commutator", "components", "delta_balance_check", "delta_op",
-    "factor_poly", "factor_ratfunc", "format_pretty", "impossibility_sweep",
-    "in_rational_centralizer", "in_skew_subalgebra", "invert_auto",
-    "is_irreducible", "mass", "monic_split", "mul", "normalize",
-    "normalize_text", "parse", "positive_divisors", "power_decompose",
-    "print_canonical", "random_tame", "rat_deg", "shift_orbit_partition",
-    "sigma_pow", "solve_twisted_root", "structure_constant",
-    "structure_constant_right", "total_degree", "twisted_product", "xi_apply",
-    "xi_inverse_apply",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):

@@ -62,33 +62,21 @@ class Orbit:
 def shift_orbit_partition(factors: FactoredPoly, s: int) -> list[Orbit]:
     """Group irreducible bases into orbits of H -> H - s.
 
-    Two bases p, q of the same degree d share an orbit iff q = p(H - j*s)
-    for an integer j; the candidate j is read off the subleading
-    coefficients and then verified exactly.
+    The monic bases of degree d in one orbit have subleading coefficients
+    c + d*j*s for integers j, so exactly one member, the key, has it in
+    (-d*s, 0]: a base with subleading coefficient c is key(H - j*s) for
+    j = floor(-c / (d*s)), and bases are grouped by their keys.
     """
     if s <= 0:
         raise DomainError("orbit step must be a positive integer")
-    orbits: list[tuple[Poly, dict[int, int]]] = []
+    orbits: dict[Poly, dict[int, int]] = {}
     for base, exp in factors.factors:
         d = base.degree
-        placed = False
-        for rep, positions in orbits:
-            if rep.degree != d:
-                continue
-            # rep(H - j s) has subleading coefficient c_{d-1}(rep) + d*j*s... solve
-            diff = rep.coeff(d - 1) - base.coeff(d - 1)
-            j = diff / (d * s)
-            if j.denominator != 1:
-                continue
-            j = int(j)
-            if sigma_pow(rep, j * s) == base:
-                positions[j] = positions.get(j, 0) + exp
-                placed = True
-                break
-        if not placed:
-            orbits.append((base, {0: exp}))
+        j = -base.coeff(d - 1) // (d * s)
+        positions = orbits.setdefault(sigma_pow(base, -j * s), {})
+        positions[j] = positions.get(j, 0) + exp
     out = []
-    for rep, positions in orbits:
+    for rep, positions in orbits.items():
         low = min(positions)
         rep0 = sigma_pow(rep, low * s)
         shifted = tuple(sorted((j - low, e) for j, e in positions.items()))

@@ -61,9 +61,7 @@ def delta_balance_check(a, b, p: int, q: int) -> Poly:
         a = Poly.constant(a)
     if isinstance(b, (int, Fraction)):
         b = Poly.constant(b)
-    left = a - a.sigma(-p)
-    right = b - b.sigma(-q)
-    return left + right
+    return delta_op(a, -p) + delta_op(b, -q)
 
 
 # ----------------------------------------------------------------------

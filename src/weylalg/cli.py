@@ -217,10 +217,7 @@ def main(argv=None) -> int:
     except OutOfScopeError as exc:
         print(f"out of scope: {exc}", file=sys.stderr)
         return 4
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     for line in lines:

@@ -332,6 +332,15 @@ class Poly:
         return _poly([c.numerator], c.denominator)
 
     @staticmethod
+    def _coerce(value):
+        """value as a Poly when it is a Poly, int or Fraction; else None."""
+        if isinstance(value, Poly):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return Poly.constant(value)
+        return None
+
+    @staticmethod
     def linear(shift) -> "Poly":
         """H + shift."""
         shift = _as_fraction(shift)
@@ -377,9 +386,9 @@ class Poly:
 
     def __add__(self, other):
         if type(other) is not Poly:
-            if not isinstance(other, (int, Fraction)):
+            other = Poly._coerce(other)
+            if other is None:
                 return NotImplemented
-            other = Poly.constant(other)
         a, b = self._den, other._den
         if a == b:
             return _poly(_add(self._c, other._c), a)
@@ -395,9 +404,9 @@ class Poly:
 
     def __sub__(self, other):
         if type(other) is not Poly:
-            if not isinstance(other, (int, Fraction)):
+            other = Poly._coerce(other)
+            if other is None:
                 return NotImplemented
-            other = Poly.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -408,7 +417,8 @@ class Poly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             return _poly(_mul(self._c, [other.numerator]), self._den * other.denominator)
-        # structure_constant returns the shared _ONE for most degree pairs
+        # a polynomial RatFunc's denominator is the shared _ONE, and RatFunc
+        # arithmetic multiplies by it
         if other is _ONE:
             return self
         if self is _ONE:
@@ -453,9 +463,9 @@ class Poly:
 
     def __divmod__(self, other: "Poly"):
         if type(other) is not Poly:
-            if not isinstance(other, (int, Fraction)):
+            other = Poly._coerce(other)
+            if other is None:
                 return NotImplemented
-            other = Poly.constant(other)
         # s F = Q G + R gives F/a = (Q b / (s a)) (G/b) + R / (s a)
         q, r, s = _pseudo_divmod(self._c, other._c)
         den = s * self._den
@@ -469,9 +479,9 @@ class Poly:
 
     def __eq__(self, other):
         if type(other) is not Poly:
-            if not isinstance(other, (int, Fraction)):
+            other = Poly._coerce(other)
+            if other is None:
                 return NotImplemented
-            other = Poly.constant(other)
         return self._c == other._c and self._den == other._den
 
     def __hash__(self):
@@ -586,14 +596,11 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = Poly.constant(num)
-        if den is None:
-            den = _ONE
-        elif isinstance(den, (int, Fraction)):
-            den = Poly.constant(den)
-        if not isinstance(num, Poly) or not isinstance(den, Poly):
+        n = Poly._coerce(num)
+        d = _ONE if den is None else Poly._coerce(den)
+        if n is None or d is None:
             raise TypeError(f"RatFunc needs Poly, int or Fraction parts, got {num!r} and {den!r}")
+        num, den = n, d
         if den.is_zero():
             raise DomainError("rational function with zero denominator")
         if num.is_zero():
@@ -642,11 +649,11 @@ class RatFunc:
 
     @staticmethod
     def _coerce(value):
+        """value as a RatFunc when it is a RatFunc, Poly, int or Fraction; else None."""
         if isinstance(value, RatFunc):
             return value
-        if isinstance(value, (int, Fraction, Poly)):
-            return RatFunc(value if isinstance(value, Poly) else Poly.constant(value))
-        return None
+        p = Poly._coerce(value)
+        return None if p is None else RatFunc(p)
 
     def __add__(self, other):
         o = self._coerce(other)

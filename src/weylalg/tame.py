@@ -223,15 +223,9 @@ def _evaluate(a: WeylElement, image_x: WeylElement, image_y: WeylElement) -> Wey
         if h_image is None:
             h_image = image_y * image_x
         # Horner evaluation of f at the image of H, from the top coefficient down
-        *lower, (last, top) = f.terms
-        acc = WeylElement({0: top})
-        for e, c in reversed(lower):
-            for _ in range(last - e):
-                acc = acc * h_image
-            acc = acc + c
-            last = e
-        for _ in range(last):
-            acc = acc * h_image
+        acc = WeylElement({0: f.lc})
+        for e in range(f.degree - 1, -1, -1):
+            acc = acc * h_image + f.coeff(e)
         term = acc if i == 0 else acc * power
         result = result + term
     return result

@@ -66,27 +66,11 @@ def structure_constant_right(n: int, m: int) -> Poly:
     return sigma_pow(structure_constant(n, m), -(n + m))
 
 
-def _coerce_poly(value) -> Poly:
-    if isinstance(value, Poly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Poly.constant(value)
-    raise TypeError(f"cannot use {type(value).__name__} as a polynomial coefficient")
-
-
-def _coerce_ratfunc(value) -> RatFunc:
-    if isinstance(value, RatFunc):
-        return value
-    if isinstance(value, (int, Fraction, Poly)):
-        return RatFunc(value if isinstance(value, Poly) else Poly.constant(value))
-    raise TypeError(f"cannot use {type(value).__name__} as a rational coefficient")
-
-
 class GradedElement:
-    """Shared implementation for WeylElement and BElement."""
+    """Shared implementation for WeylElement and BElement, each of which
+    names its coefficient ring (Poly or RatFunc) as _ring."""
 
     __slots__ = ("_comp",)
-    _coerce = staticmethod(_coerce_poly)
 
     def __init__(self, components=()):
         if isinstance(components, dict):
@@ -95,7 +79,7 @@ class GradedElement:
         for degree, coeff in components:
             if type(degree) is not int:
                 raise TypeError("graded degrees must be integers")
-            c = self._coerce(coeff)
+            c = self._coefficient(coeff)
             if degree in comp:
                 c = comp[degree] + c
             if c:
@@ -103,6 +87,14 @@ class GradedElement:
             elif degree in comp:
                 del comp[degree]
         self._comp = comp
+
+    @classmethod
+    def _coefficient(cls, value):
+        """value in the coefficient ring cls._ring; TypeError when it has no place there."""
+        c = cls._ring._coerce(value)
+        if c is None:
+            raise TypeError(f"cannot use {type(value).__name__} as a {cls._ring.__name__} coefficient")
+        return c
 
     @classmethod
     def _canonical(cls, comp: dict):
@@ -136,13 +128,15 @@ class GradedElement:
 
     @classmethod
     def _promote(cls, value):
+        """value as an element, a coefficient in degree 0; None when it is neither."""
         if isinstance(value, GradedElement):
             return value
-        if isinstance(value, (int, Fraction, Poly)):
-            return cls._canonical({0: cls._coerce(value)} if value else {})
         if isinstance(value, RatFunc):
-            return BElement._canonical({0: value} if value else {})
-        return None
+            cls = BElement
+        c = cls._ring._coerce(value)
+        if c is None:
+            return None
+        return cls._canonical({0: c} if c else {})
 
     @staticmethod
     def _join(a, b):
@@ -259,6 +253,15 @@ class GradedElement:
 
     # -- serialization -------------------------------------------------------
 
+    @classmethod
+    def from_json(cls, obj):
+        """Rebuild an element from its JSON form; malformed input raises DomainError.
+
+        The pairs go to the constructor, so a repeated degree adds up.
+        """
+        items = _json_pairs(_json_list(obj, "components", "an element"), "element")
+        return cls((i, cls._ring.from_json(c)) for i, c in items)
+
     def to_json(self):
         return {"components": [[i, c.to_json()] for i, c in sorted(self._comp.items())]}
 
@@ -271,24 +274,16 @@ class WeylElement(GradedElement):
     """An element of the Weyl algebra in graded normal form (Poly coefficients)."""
 
     __slots__ = ()
-    _coerce = staticmethod(_coerce_poly)
     _ring = Poly
 
     def to_b(self) -> "BElement":
         return BElement({i: RatFunc(c) for i, c in self._comp.items()})
-
-    @staticmethod
-    def from_json(obj) -> "WeylElement":
-        """Rebuild an element from its JSON form; malformed input raises DomainError."""
-        items = _json_pairs(_json_list(obj, "components", "an element"), "element")
-        return WeylElement({i: Poly.from_json(c) for i, c in items})
 
 
 class BElement(GradedElement):
     """An element of the localized algebra (RatFunc coefficients)."""
 
     __slots__ = ()
-    _coerce = staticmethod(_coerce_ratfunc)
     _ring = RatFunc
 
     def to_b(self) -> "BElement":
@@ -301,12 +296,6 @@ class BElement(GradedElement):
         if not self.is_weyl():
             raise DomainError("element has non-polynomial coefficients")
         return WeylElement({i: c.as_poly() for i, c in self._comp.items()})
-
-    @staticmethod
-    def from_json(obj) -> "BElement":
-        """Rebuild an element from its JSON form; malformed input raises DomainError."""
-        items = _json_pairs(_json_list(obj, "components", "an element"), "element")
-        return BElement({i: RatFunc.from_json(c) for i, c in items})
 
 
 X = WeylElement({1: 1})
@@ -419,7 +408,7 @@ class HomogeneousElement:
 
     @staticmethod
     def from_graded_component(degree: int, coeff) -> "HomogeneousElement":
-        c = _coerce_ratfunc(coeff)
+        c = BElement._coefficient(coeff)
         if degree >= 0:
             return HomogeneousElement(degree, c)
         return HomogeneousElement(degree, c * rising_product(-degree))

@@ -24,7 +24,8 @@ from weylalg import (
     solve_twisted_root,
     twisted_product,
 )
-from weylalg.centralizer import _deconvolve
+from weylalg.centralizer import Orbit, _deconvolve
+from weylalg.factor import _poly_key
 from helpers import random_int_monic
 
 Hp = Poly.gen()
@@ -55,6 +56,54 @@ class TestOrbitPartition:
         reference = shift_orbit_partition(factored(*bases), 1)
         for perm in itertools.permutations(bases):
             assert shift_orbit_partition(factored(*perm), 1) == reference
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.lists(
+            st.tuples(
+                st.lists(st.fractions(-6, 6, max_denominator=4), min_size=1, max_size=3),
+                st.lists(st.tuples(st.integers(-5, 5), st.integers(-3, 3).filter(bool)), min_size=1, max_size=4),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_matches_pairwise_grouping(self, s, seeds):
+        # monic bases at integer shifts of a few seeds: some land in one
+        # orbit of H -> H - s, others only in one of a finer step
+        bases = {}
+        for low, shifts in seeds:
+            seed = Poly([*enumerate(low), (len(low), 1)])
+            for shift, exp in shifts:
+                bases[sigma_pow(seed, shift)] = exp
+        factors = factored(*sorted(bases.items(), key=lambda item: _poly_key(item[0])))
+        assert shift_orbit_partition(factors, s) == pairwise_orbit_partition(factors, s)
+
+
+def pairwise_orbit_partition(factors, s):
+    """shift_orbit_partition by comparing each base with each orbit found so
+    far: rep(H - j*s) has subleading coefficient c_{d-1}(rep) - d*j*s, which
+    gives the candidate j, and the shift is then checked exactly."""
+    orbits = []
+    for base, exp in factors.factors:
+        d = base.degree
+        for rep, positions in orbits:
+            if rep.degree != d:
+                continue
+            j = (rep.coeff(d - 1) - base.coeff(d - 1)) / (d * s)
+            if j.denominator == 1 and sigma_pow(rep, int(j) * s) == base:
+                positions[int(j)] = positions.get(int(j), 0) + exp
+                break
+        else:
+            orbits.append((base, {0: exp}))
+    out = []
+    for rep, positions in orbits:
+        low = min(positions)
+        shifted = tuple(sorted((j - low, e) for j, e in positions.items()))
+        out.append(Orbit(sigma_pow(rep, low * s), s, shifted))
+    out.sort(key=lambda o: _poly_key(o.rep))
+    return out
 
 
 def brute_force_deconvolve(exponents, k):

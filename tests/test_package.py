@@ -5,6 +5,7 @@ imported most of the package already.
 """
 
 import functools
+import hashlib
 import os
 import subprocess
 import sys
@@ -114,6 +115,12 @@ class TestHook:
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
             weylalg.__getattr__("no_such_name")
+
+    def test_public_names_are_pinned(self):
+        # __all__ is derived from the name table, so this fixes the public API
+        names = " ".join(weylalg.__all__).encode()
+        assert len(weylalg.__all__) == 68
+        assert hashlib.sha256(names).hexdigest() == "a39cf1bd90377a92afb0e04cec809f1261b14c7b24551b15a00f42ad13028ab2"
 
     def test_dir(self):
         assert set(weylalg.__all__) | set(SUBMODULES) <= set(dir(weylalg))

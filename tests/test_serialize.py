@@ -83,6 +83,33 @@ class TestJson:
         assert dumps_canonical(report.to_json()) == blob
 
 
+# each element class with the JSON of a constant coefficient c ("3/2") of its ring
+each_element_class = pytest.mark.parametrize("cls, coeff", [
+    (WeylElement, lambda c: {"poly": [[0, c]]}),
+    (BElement, lambda c: {"ratfunc": {"num": [[0, c]], "den": [[0, "1/1"]]}}),
+])
+
+
+class TestRepeatedDegrees:
+    """A repeated degree or exponent adds up, in JSON as in the constructors."""
+
+    def test_poly_exponent(self):
+        assert Poly.from_json({"poly": [[0, "1/1"], [0, "2/1"]]}) == 3
+
+    @each_element_class
+    def test_element_degree(self, cls, coeff):
+        blob = {"components": [[1, coeff("1/1")], [-1, coeff("1/2")], [1, coeff("2/1")]]}
+        assert cls.from_json(blob) == cls([(1, 1), (-1, F(1, 2)), (1, 2)]) == cls({1: 3, -1: F(1, 2)})
+        assert type(cls.from_json(blob)) is cls
+
+    @each_element_class
+    def test_element_degree_cancels(self, cls, coeff):
+        blob = {"components": [[2, coeff("1/3")], [0, coeff("5/1")], [2, coeff("-1/3")]]}
+        rebuilt = cls.from_json(blob)
+        assert rebuilt == cls({0: 5}) and rebuilt.support() == {0}
+        assert cls.from_json({"components": [[1, coeff("1/1")], [1, coeff("-1/1")]]}).is_zero()
+
+
 class TestMalformedJson:
     @pytest.mark.parametrize(
         "cls, payload, message",

@@ -319,6 +319,17 @@ class TestElementBasics:
             with pytest.raises(DomainError, match="homogeneous degree must be an integer"):
                 HomogeneousElement(degree, RatFunc(Hp))
 
+    def test_coefficients_must_belong_to_the_ring(self):
+        # one raise, in the ring's coercion, names the offending type
+        with pytest.raises(TypeError, match="cannot use str as a Poly coefficient"):
+            WeylElement({0: "x"})
+        with pytest.raises(TypeError, match="cannot use object as a RatFunc coefficient"):
+            BElement({0: object()})
+        with pytest.raises(TypeError, match="cannot use str as a RatFunc coefficient"):
+            HomogeneousElement.from_graded_component(1, "x")
+        with pytest.raises(TypeError, match="cannot use RatFunc as a Poly coefficient"):
+            WeylElement({0: RatFunc(Hp, Hp + 1)})
+
     def test_pow(self):
         assert X**3 == WeylElement({3: 1})
         assert (X + Y) ** 0 == ONE
