@@ -129,23 +129,21 @@ def _deconvolve(exponents: dict[int, int], k: int):
     """Solve sum_{m=0}^{k-1} d(j - m) = e(j) for finitely supported d.
 
     Returns (d, None) on success or (None, (position, residue)) at the first
-    failing convolution position.  Both passes keep a running window sum, so
-    the work is O(span + k).
+    failing convolution position.  Solving for d(j) position by position
+    matches e up to hi = max e, so a failure lies in (hi, hi + k), where d
+    and e vanish and the residue is minus the value the recurrence asks of
+    d(j).  One pass keeps a running window sum, so the work is O(span + k).
     """
-    lo = min(exponents)
     hi = max(exponents)
     d: dict[int, int] = {}
     window = 0  # sum_{m=1}^{k-1} d(j - m)
-    for j in range(lo, hi + 1):
+    for j in range(min(exponents), hi + k):
         val = exponents.get(j, 0) - window
         if val:
+            if j > hi:
+                return None, (j, -val)
             d[j] = val
         window += val - d.get(j + 1 - k, 0)
-    conv = 0  # sum_{m=0}^{k-1} d(j - m)
-    for j in range(lo, hi + k):
-        conv += d.get(j, 0) - d.get(j - k, 0)
-        if conv != exponents.get(j, 0):
-            return None, (j, conv - exponents.get(j, 0))
     return d, None
 
 

@@ -1,11 +1,13 @@
 """Complete factorization over Q for Poly and RatFunc values.
 
-The pipeline is the classical one for Z[x]: squarefree decomposition,
+The pipeline is the classical one for Z[x]: the squarefree kernel,
 reduction modulo the first odd prime that keeps the polynomial squarefree
-and its degree, Hensel lifting, and subset recombination.  A polynomial
-that one Euclid modulo a 61-bit prime shows coprime to its derivative is
-squarefree as it stands; only the others go through Yun's decomposition
-over Q.  The modular factors come from distinct-degree factorization in
+and its degree, Hensel lifting, and subset recombination.  One gcd g of f
+and f' gives the kernel f / g, which holds each irreducible factor of f
+once; most f are shown coprime to f' by one Euclid modulo a 61-bit prime,
+and are their own kernel.  Zassenhaus runs once, on the kernel, and each
+factor's multiplicity is one more than the number of times it divides g
+exactly.  The modular factors come from distinct-degree factorization in
 F_p[x]; the linear ones are x - a for the roots a found by evaluation at
 every residue, and those of degree >= 2 are split by Cantor-Zassenhaus.
 The search for p rules out a prime below the degree by a root the
@@ -334,8 +336,6 @@ def _zassenhaus(f):
 
     p = _good_prime(f)
     ddf = _gf_ddf(_gf_monic(_gf_normal(f, p), p), p)
-    if ddf[0][1] == n:  # irreducible mod p, hence over Z
-        return [list(f)]
     # the split is random, the set of factors it finds is not
     rng = random.Random(0)
     modular = sorted(
@@ -386,34 +386,6 @@ def _zassenhaus(f):
 # public surface
 # ----------------------------------------------------------------------
 
-def _squarefree_parts(f: Poly):
-    """The squarefree decomposition [(monic squarefree, multiplicity)] of a
-    monic polynomial of degree >= 1.
-
-    poly_gcd shows most f coprime to f' by one Euclid mod a 61-bit prime,
-    and then f is its own decomposition; otherwise Yun's algorithm runs
-    over Q from that gcd.
-    """
-    df = f.derivative()
-    g = poly_gcd(f, df)
-    if g.is_constant():
-        return [(f, 1)]
-    parts = []
-    b = f // g
-    c = df // g
-    d = c - b.derivative()
-    i = 1
-    while not (b.is_constant() and b.constant_value() == 1):
-        a = poly_gcd(b, d)
-        if a.degree > 0:
-            parts.append((a, i))
-        b = b // a
-        c = d // a
-        d = c - b.derivative()
-        i += 1
-    return parts
-
-
 def factor_poly(f: Poly) -> FactoredPoly:
     """Factor a nonzero polynomial over Q into monic irreducibles."""
     if not isinstance(f, Poly):
@@ -423,11 +395,17 @@ def factor_poly(f: Poly) -> FactoredPoly:
     unit = f.lc
     if f.degree == 0:
         return FactoredPoly(unit, ())
+    # g = gcd(f, f') holds each irreducible factor of f once fewer times
+    # than f does, so the kernel f / g holds each once, and a factor's
+    # multiplicity is one more than the number of times it divides g
+    _, whole = clear_denominators(f)
+    _, rest = clear_denominators(poly_gcd(f, f.derivative()))
     collected = []
-    for sqf, mult in _squarefree_parts(f.monic()):
-        _, dense = clear_denominators(sqf)
-        for part in _zassenhaus(dense):
-            collected.append((poly_from_int_coeffs(part).monic(), mult))
+    for part in _zassenhaus(_exact_quotient(whole, rest)):
+        mult = 1
+        while (quotient := _exact_quotient(rest, part)) is not None:
+            rest, mult = quotient, mult + 1
+        collected.append((poly_from_int_coeffs(part).monic(), mult))
     collected.sort(key=lambda item: _poly_key(item[0]))
     return FactoredPoly(unit, tuple(collected))
 

@@ -297,7 +297,7 @@ class Poly:
         # and only the sum is put in canonical form
         kept = []
         for exp, coeff in terms:
-            if not isinstance(exp, int) or exp < 0:
+            if type(exp) is not int or exp < 0:
                 raise ValueError(f"exponent must be a nonnegative integer, got {exp!r}")
             if type(coeff) is not int:
                 coeff = _as_fraction(coeff)

@@ -9,10 +9,10 @@ enclosing function and its text (whitespace collapsed), so edits that only
 shift line numbers leave the keys alone.
 
 The run fails (exit 1) when an unreached statement is missing from
-tests/coverage_allowlist.txt, which holds only argument checks,
-NotImplemented returns and internal-defect raises.  Allowlisted statements
-that a test now reaches are reported, so the list can shrink.  Hypothesis
-runs derandomized, so two runs reach the same statements.
+tests/coverage_allowlist.txt, which holds only internal-defect and
+unreachable raises.  Allowlisted statements that a test now reaches are
+reported, so the list can shrink.  Hypothesis runs derandomized, so two
+runs reach the same statements.
 
     python tests/coverage_probe.py
 """

@@ -144,7 +144,12 @@ class TestDeconvolve:
     @given(exponent_maps, st.integers(1, 9))
     @settings(max_examples=300, deadline=None)
     def test_matches_brute_force(self, exponents, k):
-        assert _deconvolve(exponents, k) == brute_force_deconvolve(exponents, k)
+        d, failure = brute_force_deconvolve(exponents, k)
+        assert _deconvolve(exponents, k) == (d, failure)
+        # position by position the solve matches e up to max e, so only the
+        # k - 1 positions after it can fail
+        if failure is not None:
+            assert max(exponents) < failure[0] < max(exponents) + k
 
     @given(nonzero_maps, st.integers(1, 9))
     @settings(max_examples=200, deadline=None)

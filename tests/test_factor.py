@@ -6,7 +6,16 @@ from math import gcd, isqrt, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from weylalg import DomainError, Poly, RatFunc, factor, factor_poly, factor_ratfunc, is_irreducible
+from weylalg import (
+    DomainError,
+    Poly,
+    RatFunc,
+    factor,
+    factor_poly,
+    factor_ratfunc,
+    is_irreducible,
+    twisted_product,
+)
 from weylalg.factor import (
     _exact_quotient,
     _factor_tree,
@@ -122,6 +131,11 @@ class TestExamples:
         assert result.unit == 1
         assert result.exponent_map() == {H**2 + 1: 1}
 
+    def test_shifted_copies_share_factors(self):
+        product = twisted_product(H * (H - 1), 3, 1, "plus")
+        assert product == H * (H - 1)**2 * (H - 2)**2 * (H - 3)
+        assert factor_poly(product).exponent_map() == {H: 1, H - 1: 2, H - 2: 2, H - 3: 1}
+
     def test_constant(self):
         result = factor_poly(Poly.constant(6))
         assert result.unit == 6
@@ -178,6 +192,20 @@ class TestOracle:
                 coeffs[degree] = F(rng.choice([1, 1, -1, 2, 3]))
                 f = f * Poly(coeffs.items())
             inputs.append(f)
+        # shifted copies that share factors, so the kernel f / gcd(f, f')
+        # and the multiplicities both matter
+        for _ in range(30):
+            beta = Poly.constant(rng.choice([1, -1, F(2, 3)]))
+            for _ in range(rng.randint(1, 3)):
+                beta = beta * rng.choice(KNOWN_IRREDUCIBLE + [H**2 - F(1, 3) * H + F(2, 5)])
+            inputs.append(twisted_product(beta, rng.randint(2, 4), rng.randint(1, 2), rng.choice(["plus", "minus"])))
+        # powers up to 4 of rational-coefficient bases, alone and together
+        bases = [H + F(1, 2), H**2 - F(2, 3), H**2 + F(1, 3) * H + F(5, 7), F(3, 4) * H**3 - F(1, 6) * H + 2]
+        inputs += [b**e for b in bases for e in range(1, 5)]
+        inputs += [
+            prod((b**e for b, e in zip(bases, exps)), start=Poly.constant(F(-7, 2)))
+            for exps in itertools.product(range(3), repeat=4)
+        ]
         for f in inputs:
             if not f.is_zero() and f.degree >= 1:
                 assert_matches_sympy(f)
@@ -327,7 +355,7 @@ class TestStructure:
 
 
 class TestSquarefreeParts:
-    def test_repeated_factors_go_through_yun(self):
+    def test_repeated_factors_go_through_the_kernel(self):
         rng = random.Random(26)
         for _ in range(40):
             f = Poly.constant(rng.choice([1, -2, F(3, 4)]))
@@ -345,8 +373,7 @@ class TestSquarefreeParts:
         # the numerators' leading coefficients are multiples of 2^61 - 1, so
         # coprimality mod that prime shows nothing and the exact path runs
         for f in (H**2 + H * F(1, _P), H * (H + F(1, _P)) ** 2, (H**2 + 3) * (_P * H + 1)):
-            monic = f.monic()
-            assert not _coprime(monic._c, monic.derivative()._c)
+            assert not _coprime(f._c, f.derivative()._c)
             assert_matches_sympy(f)
 
 

@@ -1,4 +1,5 @@
-"""The package imports its submodules on first use.
+"""The package imports its submodules on first use, and its public calls
+check their arguments.
 
 Each fresh-interpreter check runs in a subprocess, since this process has
 imported most of the package already.
@@ -14,7 +15,26 @@ from pathlib import Path
 import pytest
 
 import weylalg
-from weylalg import parser
+from weylalg import (
+    AutoWord,
+    BElement,
+    DomainError,
+    FactoredPoly,
+    HomogeneousElement,
+    Poly,
+    RatFunc,
+    X,
+    centralizer_rational,
+    factor_poly,
+    factor_ratfunc,
+    monic_split,
+    parser,
+    power_decompose,
+    rat_deg,
+    shift_orbit_partition,
+    sigma_pow,
+    solve_twisted_root,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SUBMODULES = ("centralizer", "certify", "errors", "factor", "parser", "polynomials", "tame", "weyl")
@@ -135,3 +155,51 @@ class TestHook:
         monkeypatch.undo()
         assert weylalg.parse is original
         assert vars(weylalg)["parse"] is original
+
+
+Hp = Poly.gen()
+U = HomogeneousElement(1, RatFunc(Hp))
+ALIEN = object()
+
+# Each public argument check and NotImplemented return, with what the call
+# raises, or returns once Python has tried the reflected operation.
+REJECTED = [
+    ("Poly ** -1", lambda: Poly.one() ** -1, ValueError),
+    ("Poly == str", lambda: Poly.one() == "x", False),
+    ("Poly.constant_value of H", lambda: Hp.constant_value(), DomainError),
+    ("RatFunc ** float", lambda: RatFunc(Hp) ** 1.5, ValueError),
+    ("RatFunc == object", lambda: RatFunc(Hp) == ALIEN, False),
+    ("RatFunc / 0", lambda: RatFunc(Hp) / 0, ZeroDivisionError),
+    ("RatFunc / object", lambda: RatFunc(Hp) / ALIEN, TypeError),
+    ("object / RatFunc", lambda: ALIEN / RatFunc(Hp), TypeError),
+    ("RatFunc.as_poly of 1/H", lambda: RatFunc(1, Hp).as_poly(), DomainError),
+    ("monic_split of str", lambda: monic_split("x"), TypeError),
+    ("rat_deg of str", lambda: rat_deg("x"), TypeError),
+    ("sigma_pow of int", lambda: sigma_pow(1, 1), TypeError),
+    ("X - str", lambda: X - "x", TypeError),
+    ("X * object", lambda: X * ALIEN, TypeError),
+    ("object * X", lambda: ALIEN * X, TypeError),
+    ("X ** -1", lambda: X ** -1, ValueError),
+    ("X == object", lambda: X == ALIEN, False),
+    ("BElement.to_weyl of 1/H", lambda: BElement({0: RatFunc(1, Hp)}).to_weyl(), DomainError),
+    ("HomogeneousElement of 0", lambda: HomogeneousElement(1, RatFunc(0)), DomainError),
+    ("HomogeneousElement * object", lambda: U * ALIEN, TypeError),
+    ("HomogeneousElement ** 0", lambda: U ** 0, ValueError),
+    ("AutoWord + object", lambda: AutoWord() + ALIEN, TypeError),
+    ("factor_poly of str", lambda: factor_poly("x"), TypeError),
+    ("factor_ratfunc of Poly", lambda: factor_ratfunc(Hp), TypeError),
+    ("shift_orbit_partition with s = 0", lambda: shift_orbit_partition(FactoredPoly(1, ((Hp, 1),)), 0), DomainError),
+    ("power_decompose by degree 0", lambda: power_decompose(U, HomogeneousElement(0, RatFunc(Hp))), DomainError),
+    ("centralizer_rational of Poly", lambda: centralizer_rational(Hp), TypeError),
+    ("solve_twisted_root of non-monic", lambda: solve_twisted_root(RatFunc(2 * Hp), 1, 1, "plus"), DomainError),
+    ("solve_twisted_root with k = 0", lambda: solve_twisted_root(RatFunc(Hp), 0, 1, "plus"), DomainError),
+]
+
+
+@pytest.mark.parametrize("call, outcome", [row[1:] for row in REJECTED], ids=[row[0] for row in REJECTED])
+def test_public_argument_check(call, outcome):
+    if outcome is False:
+        assert call() is False
+    else:
+        with pytest.raises(outcome):
+            call()

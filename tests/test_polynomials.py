@@ -185,7 +185,7 @@ def fraction_dict_terms(terms):
     as Poly does: the first bad term decides, its exponent before its coefficient."""
     acc = {}
     for exp, coeff in terms:
-        if not isinstance(exp, int) or exp < 0:
+        if type(exp) is not int or exp < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exp!r}")
         if not isinstance(coeff, (int, F)):
             raise TypeError(f"expected an integer or Fraction, got {type(coeff).__name__}")
@@ -222,7 +222,7 @@ def terms_format(f: Poly) -> str:
 coefficients = st.one_of(st.integers(-10**30, 10**30), st.booleans(),
                          st.fractions(max_denominator=10**6), rationals)
 term_lists = st.lists(st.tuples(st.integers(0, 6), coefficients), max_size=8)
-bad_exponents = st.one_of(st.integers(max_value=-1), st.just(1.0), st.just("2"), st.none())
+bad_exponents = st.one_of(st.integers(max_value=-1), st.just(1.0), st.just("2"), st.none(), st.booleans())
 bad_coefficients = st.one_of(st.floats(allow_nan=False), st.just("1/2"), st.none(), st.just(1j))
 
 
@@ -243,6 +243,12 @@ class TestConstructionAndPrinting:
     def test_bad_terms_raise_in_order(self, before, exp, coeff, after):
         terms = before + [(exp, coeff)] + after + [(-1, "x")]
         assert outcome(Poly, terms) == outcome(fraction_dict_terms, terms)
+
+    @pytest.mark.parametrize("exp", [True, False])
+    def test_bool_exponent_is_rejected(self, exp):
+        # as the graded constructor and Poly.from_json reject a bool degree
+        with pytest.raises(ValueError, match=f"exponent must be a nonnegative integer, got {exp}"):
+            Poly([(exp, 5)])
 
     @given(term_lists)
     @KERNEL
