@@ -29,17 +29,17 @@ from .polynomials import Poly, RatFunc, sigma_pow
 from .weyl import HomogeneousElement
 
 
-def _check_direction(direction):
+def _check_twist(k: int, s: int, direction: str):
     if direction not in ("plus", "minus"):
         raise ValueError(f"direction must be 'plus' or 'minus', got {direction!r}")
+    if k < 1 or s < 1:
+        raise DomainError("twisted root needs positive k and s")
 
 
 def twisted_product(beta, k: int, s: int, direction: str):
     """Product of k copies of beta shifted by 0, s, 2s, ... (plus) or
     0, -s, -2s, ... (minus)."""
-    _check_direction(direction)
-    if k < 1:
-        raise DomainError("twisted root needs positive k and s")
+    _check_twist(k, s, direction)
     step = s if direction == "plus" else -s
     result = beta
     for m in range(1, k):
@@ -162,13 +162,9 @@ def _twisted_root(alpha: RatFunc, k: int, s: int, direction: str, factored) -> R
     factorization does not depend on s, so a caller trying several divisors
     can hand in one that factors alpha once.
     """
-    _check_direction(direction)
-    if k <= 0 or s <= 0:
-        raise DomainError("twisted root needs positive k and s")
+    _check_twist(k, s, direction)
     if not alpha.is_monic():
         raise DomainError("twisted root is defined for monic alpha")
-    if k == 1:
-        return alpha
     deg = alpha.degree
     if deg % k:
         raise TwistedRootInfeasible(
@@ -229,8 +225,8 @@ def positive_divisors(n: int) -> list[int]:
 def centralizer_generator(u: HomogeneousElement) -> CentralizerResult:
     """Least-divisor centralizer generator per the twisted product equations.
 
-    Scans the positive divisors of |n| in increasing order; s = |n| always
-    succeeds with beta = alpha, so a result is guaranteed.
+    Scans the proper divisors of |n| in increasing order; when none admits
+    a root, s = |n| does, with k = 1 and beta = alpha.
     """
     n = u.degree
     if n == 0:
@@ -242,20 +238,20 @@ def centralizer_generator(u: HomogeneousElement) -> CentralizerResult:
     alpha = u.coeff
     factored = cache(lambda: factor_ratfunc(alpha))
     certificates = []
-    for s in positive_divisors(n):
-        k = abs(n) // s
+    for s in positive_divisors(n)[:-1]:
         try:
-            beta = _twisted_root(alpha, k, s, direction, factored)
+            beta = _twisted_root(alpha, abs(n) // s, s, direction, factored)
+            break
         except TwistedRootInfeasible as exc:
             certificates.append(exc.certificate)
-            continue
-        return CentralizerResult(
-            v=HomogeneousElement(sign * s, beta),
-            s=s,
-            beta=beta,
-            infeasible_divisors=tuple(certificates),
-        )
-    raise RuntimeError("unreachable: s = |n| always admits beta = alpha")
+    else:
+        s, beta = abs(n), alpha
+    return CentralizerResult(
+        v=HomogeneousElement(sign * s, beta),
+        s=s,
+        beta=beta,
+        infeasible_divisors=tuple(certificates),
+    )
 
 
 @dataclass(frozen=True)

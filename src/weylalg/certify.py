@@ -2,17 +2,24 @@
 
 certify_pair(P, Q) takes a pair with [P, Q] = 1 whose masses satisfy the
 certified hypotheses (both at most 2, or one equal to 1) and produces a tame
-automorphism word tau with tau(Y) = P and tau(X) = Q.  The reduction peels
-one generator at a time:
+automorphism word tau with tau(Y) = P and tau(X) = Q.  _reduce builds the
+word in one pass, with no recursion:
 
   * affine pairs go through an explicit SL2 decomposition;
-  * a mass-1 partner is normalized by grading flips and pair swaps until it
-    is a scalar multiple of X, after which the complement is peeled into
-    triangular generators;
+  * otherwise the constant terms of P and then Q become translations;
+  * a mass-1 P is swapped in as the partner, behind Torus(-1), Xi, and a
+    partner of negative degree is flipped by xi^-1, with one Xi at the end.
+    The partner is then lambda X, and each component of the complement
+    P - Y/lambda becomes a triangular generator, then Torus(lambda).  No
+    constant comes back after the flip: the only part of P whose
+    commutator with a partner g v_q lands in degree q != 0 is P's degree-0
+    part, so it commutes with the partner only if it is invariant under
+    the shift sigma^q.  Then it is a constant, and that constant was
+    already peeled;
   * a mass-2 / mass-2 pair needs no rule of its own.  The degree lemma
     (1 - sigma^s)(H^e) = e*s*H^(e-1) + lower terms shows that a pair on
     the supports {-k, k} commutes to 1 only when k = 1 and its coefficients
-    are constants, an affine pair (the proof is at the end of _reduce).
+    are constants, an affine pair (the proof is in _reduce's last comment).
 
 Every certificate is verified before it is returned: its images of X and
 Y, composed once, must equal (Q, P).
@@ -50,8 +57,6 @@ from .weyl import (
     xi_inverse_apply,
 )
 
-_MAX_DEPTH = 32
-
 
 def delta_balance_check(a, b, p: int, q: int) -> Poly:
     """Evaluate (1 - sigma^-p)(a) + (1 - sigma^-q)(b) exactly."""
@@ -86,34 +91,46 @@ def _internal(msg):
     return RuntimeError(f"certifier internal defect: {msg}")
 
 
-def _constant_term(e: WeylElement) -> Fraction:
-    f = e.coefficient(0)
-    return f.coeff(0) if f is not None else Fraction(0)
-
-
-def _reduce(P: WeylElement, Q: WeylElement, depth: int) -> AutoWord:
-    if depth > _MAX_DEPTH:
-        raise _internal("reduction did not terminate")
+def _reduce(P: WeylElement, Q: WeylElement) -> AutoWord:
     if total_degree(P) <= 1 and total_degree(Q) <= 1:
         a, b, lam = _affine_parts(P)
         c, d, mu = _affine_parts(Q)
         return affine_decompose(a, b, c, d, lam, mu)
     # constant terms commute with everything; peel them into translations
     # so the mass dispatch below sees pure graded shapes
-    const_p = _constant_term(P)
+    const_p, const_q = (f.coeff(0) if f is not None else Fraction(0)
+                        for f in (P.coefficient(0), Q.coefficient(0)))
+    gens = []
     if const_p:
-        sub = _reduce(P - const_p, Q, depth + 1)
-        return AutoWord((Translate(Fraction(0), const_p),)) + sub
-    const_q = _constant_term(Q)
+        gens.append(Translate(Fraction(0), const_p))
+        P = P - const_p
     if const_q:
-        sub = _reduce(P, Q - const_q, depth + 1)
-        return AutoWord((Translate(const_q, Fraction(0)),)) + sub
-    if mass(Q) == 1:
-        return _peel_mass_one(P, Q, depth)
-    if mass(P) == 1:
+        gens.append(Translate(const_q, Fraction(0)))
+        Q = Q - const_q
+    if mass(Q) != 1 and mass(P) == 1:
         # swap through [P, Q] = [-Q, P]: certify (-Q, P), precompose xi^-1
-        sub = _reduce(-Q, P, depth + 1)
-        return AutoWord((Torus(Fraction(-1)), Xi())) + sub
+        gens += (Torus(Fraction(-1)), Xi())
+        P, Q = -Q, P
+    if mass(Q) == 1:
+        ((q, g),) = Q.components()
+        flip = q < 0
+        if flip:
+            P, Q = xi_inverse_apply(P), xi_inverse_apply(Q)
+            ((q, g),) = Q.components()
+        if q != 1 or not g.is_constant():
+            raise _internal("mass-1 partner is not a scalar multiple of X")
+        lam = g.constant_value()
+        lam_inv = 1 / lam
+        for i, f in (P - WeylElement({-1: lam_inv})).components():
+            # a wrong Y-part leaves a component of degree -1
+            if i < 1 or not f.is_constant():
+                raise _internal("complement is not a polynomial in X")
+            gens.append(PhiX(i, f.constant_value() * lam_inv**i))
+        if lam != 1:
+            gens.append(Torus(lam))
+        if flip:
+            gens.append(Xi())
+        return AutoWord(tuple(gens))
     # Constants are peeled and neither side has mass 1, so an in-scope pair
     # here has masses (2, 2), and no rule certifies it.  On the supports
     # {-k, k}, P = f1 v_-k + f2 v_k and Q = g1 v_-k + g2 v_k, the +-2k
@@ -126,32 +143,6 @@ def _reduce(P: WeylElement, Q: WeylElement, depth: int) -> AutoWord:
     # which the first rule certifies.  No input has reached this line on
     # another support.
     raise _internal(f"pair of masses {mass(P)}, {mass(Q)} has no mass-1 side")
-
-
-def _peel_mass_one(P: WeylElement, Q: WeylElement, depth: int) -> AutoWord:
-    ((q, g),) = Q.components()
-    if q == 0:
-        raise _internal("mass-1 partner of degree 0 cannot commute to 1")
-    if q < 0:
-        sub = _reduce(xi_inverse_apply(P), xi_inverse_apply(Q), depth + 1)
-        return sub + AutoWord((Xi(),))
-    if q != 1 or not g.is_constant():
-        raise _internal("positive mass-1 partner must be a scalar multiple of X")
-    lam = g.constant_value()
-    lam_inv = 1 / lam
-    p_low = P.coefficient(-1)
-    if p_low is None or p_low != Poly.constant(lam_inv):
-        raise _internal("Y-part of the partner does not match the scalar")
-    remainder = P - WeylElement({-1: lam_inv})
-    gens = []
-    for i, f in remainder.components():
-        # _reduce peeled P's constant term, so the complement starts at X^1
-        if i < 1 or not f.is_constant():
-            raise _internal("complement is not a polynomial in X")
-        gens.append(PhiX(i, f.constant_value() * lam_inv**i))
-    if lam != 1:
-        gens.append(Torus(lam))
-    return AutoWord(tuple(gens))
 
 
 def certify_pair(P: WeylElement, Q: WeylElement) -> AutoWord:
@@ -170,7 +161,7 @@ def certify_pair(P: WeylElement, Q: WeylElement) -> AutoWord:
             f"masses ({mp}, {mq}) are outside the certified range: "
             "need both <= 2 or one equal to 1"
         )
-    word = _reduce(P, Q, 0)
+    word = _reduce(P, Q)
     if auto_images(word) != (Q, P):
         raise _internal("certificate failed the final application check")
     return word

@@ -1,18 +1,15 @@
-"""List the statements of src/weylalg that no test reaches.
+"""Check that every statement of src/weylalg is reached by a test.
 
 Runs the tier-1 suite (tests/) and bench/test_smoke.py in this process
 under a sys.settrace line tracer, then lists every statement inside a
-function of src/weylalg that never ran.  Module and class bodies run at
-import and are not counted, nor are definitions, docstrings, 'try:' lines
-and the benchmark's subprocesses.  Each statement is keyed by file,
-enclosing function and its text (whitespace collapsed), so edits that only
-shift line numbers leave the keys alone.
+function of src/weylalg that never ran, by file, line, enclosing function
+and text.  Module and class bodies run at import and are not counted, nor
+are definitions, docstrings, 'try:' lines and the benchmark's subprocesses.
 
-The run fails (exit 1) when an unreached statement is missing from
-tests/coverage_allowlist.txt, which holds only internal-defect and
-unreachable raises.  Allowlisted statements that a test now reaches are
-reported, so the list can shrink.  Hypothesis runs derandomized, so two
-runs reach the same statements.
+The run fails (exit 1) on any unreached statement: an internal-defect raise
+is reached by a test that breaks what it guards, and code that no input
+reaches is deleted.  Hypothesis runs derandomized, so two runs reach the
+same statements.
 
     python tests/coverage_probe.py
 """
@@ -22,12 +19,10 @@ from __future__ import annotations
 import ast
 import sys
 import threading
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "weylalg"
-ALLOWLIST = ROOT / "tests" / "coverage_allowlist.txt"
 SUITES = ["tests", "bench/test_smoke.py"]
 
 # statements with no code of their own (a try's body is counted instead)
@@ -111,38 +106,21 @@ def _run_suites_traced():
     return int(code), hits
 
 
-def _unreached(hits):
-    keys = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        seen = hits[str(path)]
-        for qualname, first, last, text in _statements(path):
-            if not any(line in seen for line in range(first, last + 1)):
-                keys.append(f"{path.name}::{qualname}::{text}")
-    return keys
-
-
-def _read_allowlist():
-    entries = ALLOWLIST.read_text(encoding="utf-8").splitlines()
-    return [e for e in entries if e.strip() and not e.startswith("#")]
-
-
 def main() -> int:
     code, hits = _run_suites_traced()
     if code != 0:
         print(f"coverage probe: the suites failed (pytest exit {code})")
         return code
-    unreached = Counter(_unreached(hits))
-    allowed = Counter(_read_allowlist())
-    missing = unreached - allowed
-    stale = allowed - unreached
-    statements = sum(len(_statements(path)) for path in PACKAGE.glob("*.py"))
-    print(f"coverage probe: {sum(unreached.values())} of {statements} statements unreached, "
-          f"{sum(allowed.values())} allowlisted")
-    for key in sorted(stale.elements()):
-        print(f"now reached, can leave the allowlist: {key}")
-    for key in sorted(missing.elements()):
-        print(f"unreached and not allowlisted: {key}")
-    return 1 if missing else 0
+    statements = unreached = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        seen = hits[str(path)]
+        for qualname, first, last, text in _statements(path):
+            statements += 1
+            if not any(line in seen for line in range(first, last + 1)):
+                unreached += 1
+                print(f"unreached: {path.name}:{first} {qualname}: {text}")
+    print(f"coverage probe: {unreached} of {statements} statements unreached")
+    return 1 if unreached else 0
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from weylalg import (
     solve_twisted_root,
     twisted_product,
 )
+import weylalg.centralizer as centralizer_module
 from weylalg.centralizer import Orbit, _deconvolve
 from weylalg.factor import _poly_key
 from helpers import random_int_monic
@@ -201,6 +202,17 @@ class TestTwistedRoot:
         # the empty product would be 1, not beta
         with pytest.raises(DomainError, match="twisted root needs positive k and s"):
             twisted_product(RatFunc(Hp), k, 1, "plus")
+
+    @pytest.mark.parametrize("alpha", [RatFunc(Hp**2 + 2), RatFunc(Hp * (Hp - 3), (Hp + 1) ** 2)])
+    def test_one_fold_root_is_alpha(self, alpha):
+        for s in (1, 3):
+            for direction in ("plus", "minus"):
+                assert solve_twisted_root(alpha, 1, s, direction) == alpha
+
+    def test_wrong_root_fails_the_exact_check(self, monkeypatch):
+        monkeypatch.setattr(centralizer_module, "twisted_product", lambda beta, k, s, direction: beta)
+        with pytest.raises(RuntimeError, match="deconvolution produced a wrong twisted root"):
+            solve_twisted_root(RatFunc(Hp * (Hp - 1)), 2, 1, "plus")
 
     def test_ratfunc_alpha(self):
         beta = RatFunc(Hp, Hp**2 + 1)

@@ -28,7 +28,7 @@ from weylalg import (
 import weylalg.certify as certify_module
 from weylalg.certify import _cell_pair_system, _column_table, _top_row_empties
 from weylalg.polynomials import delta_op
-from weylalg.weyl import ONE, X, Y
+from weylalg.weyl import ONE, ZERO, X, Y
 
 Hp = Poly.gen()
 
@@ -58,7 +58,7 @@ class TestExamples:
         assert {"PhiX", "Torus", "Translate"} <= kinds
 
     def test_wrong_word_fails_the_final_check(self, monkeypatch):
-        monkeypatch.setattr(certify_module, "_reduce", lambda P, Q, depth: AutoWord((Xi(),)))
+        monkeypatch.setattr(certify_module, "_reduce", lambda P, Q: AutoWord((Xi(),)))
         with pytest.raises(RuntimeError, match="final application check"):
             certify_pair(Y, X)
 
@@ -139,6 +139,16 @@ class TestRoundTrip:
         assert_certifies(P, Q)
 
 
+REDUCE_DEFECTS = [
+    ("X^2 + Y^2", "X^2 - Y^2", "no mass-1 side"),
+    ("H*X + Y", "X + H*Y", "no mass-1 side"),
+    # pairs that do not commute, each with a mass-1 side of the wrong shape
+    ("X^2 + Y", "2*X^2", "not a scalar multiple of X"),
+    ("Y", "H", "not a scalar multiple of X"),
+    ("Y^2 + X^2", "2*X", "complement is not a polynomial in X"),
+]
+
+
 class TestMassTwoPairs:
     """The degree lemma behind _reduce's last line: a pair of masses (2, 2)
     on the supports {-k, k} with [P, Q] = 1 is affine."""
@@ -159,10 +169,10 @@ class TestMassTwoPairs:
             assert comm == WeylElement({0: delta_op(inner, -k)}), (f1, f2, k)
             assert delta_op(inner, -k).degree == f1.degree + f2.degree + k - 1
 
-    @pytest.mark.parametrize("P, Q", [("X^2 + Y^2", "X^2 - Y^2"), ("H*X + Y", "X + H*Y")])
-    def test_no_mass_one_side_is_an_internal_defect(self, P, Q):
-        with pytest.raises(RuntimeError, match="certifier internal defect"):
-            certify_module._reduce(normalize_text(P), normalize_text(Q), 0)
+    @pytest.mark.parametrize("P, Q, message", REDUCE_DEFECTS, ids=[f"{P}-{Q}" for P, Q, _ in REDUCE_DEFECTS])
+    def test_no_mass_one_side_is_an_internal_defect(self, P, Q, message):
+        with pytest.raises(RuntimeError, match=f"certifier internal defect: .*{message}"):
+            certify_module._reduce(normalize_text(P), normalize_text(Q))
 
 
 class TestDeltaBalance:
@@ -507,6 +517,10 @@ class TestSweepRowRule:
         monkeypatch.setattr(certify_module, "delta_balance_check", lambda a, b, p, q: Poly.zero())
         with pytest.raises(RuntimeError, match="sweep witness failed independent verification"):
             impossibility_sweep("case-v", {"p": 2, "q": 2, "max_coeff_deg": 0})
+        # the case-ii cell at p = 1, deg gamma = 1 checks its scalar witness
+        monkeypatch.setattr(certify_module, "commutator", lambda a, b: ZERO)
+        with pytest.raises(RuntimeError, match="sweep witness failed independent verification"):
+            impossibility_sweep("case-ii", {"p": 1, "q": 1, "max_coeff_deg": 0})
 
     def test_undecided_row_is_an_internal_defect(self, monkeypatch):
         monkeypatch.setattr(certify_module, "_top_row_empties", lambda blocks, table, top: False)

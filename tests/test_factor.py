@@ -388,6 +388,12 @@ def reference_prime(f):
 
 
 class TestPrimeSearch:
+    def test_a_prime_that_leaves_a_square_is_caught(self, monkeypatch):
+        # (H - 1)(H - 4) is (H - 1)^2 mod 3, so its modular factors share a root
+        monkeypatch.setattr(factor, "_good_prime", lambda f: 3)
+        with pytest.raises(RuntimeError, match="modular factors are not coprime"):
+            factor_poly((H - 1) * (H - 4))
+
     def test_rising_products(self):
         # H (H+1) ... (H+n-1) has the double root 0 mod every prime below n,
         # and n distinct roots mod every larger prime

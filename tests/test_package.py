@@ -34,6 +34,7 @@ from weylalg import (
     shift_orbit_partition,
     sigma_pow,
     solve_twisted_root,
+    twisted_product,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -193,6 +194,8 @@ REJECTED = [
     ("centralizer_rational of Poly", lambda: centralizer_rational(Hp), TypeError),
     ("solve_twisted_root of non-monic", lambda: solve_twisted_root(RatFunc(2 * Hp), 1, 1, "plus"), DomainError),
     ("solve_twisted_root with k = 0", lambda: solve_twisted_root(RatFunc(Hp), 0, 1, "plus"), DomainError),
+    ("twisted_product with s = 0", lambda: twisted_product(Hp, 2, 0, "plus"), DomainError),
+    ("twisted_product with s = -1", lambda: twisted_product(Hp, 2, -1, "plus"), DomainError),
 ]
 
 
