@@ -9,12 +9,14 @@ beta of the twisted product equation
     beta sigma^-s(beta) ... sigma^(-(k-1) s)(beta) = alpha    (n < 0)
 
 with k = |n| / s.  The solver factors alpha, groups the irreducible bases
-into orbits of the shift H -> H - s, and solves an integer deconvolution
-for the exponent pattern inside each orbit.  Infeasibility is certified by
-either a degree obstruction or the first nonvanishing residue position of
-the deconvolution.  The factorization does not depend on s, so
-centralizer_generator factors alpha once per query, at the first divisor
-that passes the degree test, and reuses it for every later divisor.
+into orbits of the shift H -> H - s, solves an integer deconvolution for
+the exponent pattern inside each orbit (the minus direction is the plus
+one on mirrored positions), and assembles beta once from the solved
+exponents.  Infeasibility is certified by either a degree obstruction or
+the first nonvanishing residue position of the deconvolution.  The
+factorization does not depend on s, so centralizer_generator factors alpha
+once per query, at the first divisor that passes the degree test, and
+reuses it for every later divisor.
 """
 
 from __future__ import annotations
@@ -170,29 +172,25 @@ def _twisted_root(alpha: RatFunc, k: int, s: int, direction: str, factored) -> R
         raise TwistedRootInfeasible(
             InfeasibilityCertificate(divisor=s, kind="degree", forced_degree=(deg, k))
         )
-    mirror = direction == "minus"
-    beta = RatFunc(Poly.one())
+    sign = 1 if direction == "plus" else -1
+    num = den = Poly.one()
     for orbit in shift_orbit_partition(factored(), s):
-        exponents = dict(orbit.exponents)
-        if mirror:
-            exponents = {-j: e for j, e in exponents.items()}
-        d, failure = _deconvolve(exponents, k)
+        d, failure = _deconvolve({sign * j: e for j, e in orbit.exponents}, k)
         if failure is not None:
             position, residue = failure
-            if mirror:
-                position = -position
             raise TwistedRootInfeasible(
                 InfeasibilityCertificate(
                     divisor=s,
                     kind="residue",
                     orbit_rep=orbit.rep,
-                    position=position,
+                    position=sign * position,
                     residue=residue,
                 )
             )
         for j, e in d.items():
-            pos = -j if mirror else j
-            beta = beta * RatFunc(orbit.base_at(pos)) ** e
+            power = orbit.base_at(sign * j) ** abs(e)
+            num, den = (num * power, den) if e > 0 else (num, den * power)
+    beta = RatFunc(num, den)
     # the per-orbit pattern is necessary and sufficient; keep one exact check
     if twisted_product(beta, k, s, direction) != alpha:
         raise RuntimeError("deconvolution produced a wrong twisted root; internal defect")

@@ -63,16 +63,8 @@ def _cmd_degree(args):
 def _cmd_centralizer(args):
     from .centralizer import centralizer_generator, centralizer_rational
 
-    element = normalize_text(args.expr)
-    comps = element.components()
-    if not comps:
-        raise DomainError("the zero element is not homogeneous")
-    if len(comps) != 1:
-        raise DomainError("centralizer computation needs a homogeneous element")
-    u = HomogeneousElement.from_graded_component(*comps[0])
+    u = HomogeneousElement.from_graded(normalize_text(args.expr))
     if u.degree == 0:
-        if u.coeff.is_constant():
-            raise DomainError("constants are central")
         marker = centralizer_rational(u.coeff)
         return [dumps_canonical({"centralizer": marker}) if args.json else marker]
     lead, monic = u.monic_split()

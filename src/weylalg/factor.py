@@ -48,13 +48,13 @@ from .polynomials import (
     _gf_monic,
     _gf_normal,
     _mul,
+    _poly,
     _primitive,
     _pseudo_divmod,
     _reduced_terms,
     _strip,
     _sub,
     clear_denominators,
-    poly_from_int_coeffs,
     poly_gcd,
     rat_to_str,
 )
@@ -405,25 +405,24 @@ def factor_poly(f: Poly) -> FactoredPoly:
         mult = 1
         while (quotient := _exact_quotient(rest, part)) is not None:
             rest, mult = quotient, mult + 1
-        collected.append((poly_from_int_coeffs(part).monic(), mult))
+        collected.append((_poly(part).monic(), mult))
     collected.sort(key=lambda item: _poly_key(item[0]))
     return FactoredPoly(unit, tuple(collected))
 
 
 def factor_ratfunc(h: RatFunc) -> FactoredPoly:
-    """Factor a nonzero rational function; denominator bases get negative exponents."""
+    """Factor a nonzero rational function; denominator bases get negative exponents.
+
+    A RatFunc's numerator and denominator are coprime, so no base is in both.
+    """
     if not isinstance(h, RatFunc):
         raise TypeError(f"factor_ratfunc expects RatFunc, got {type(h).__name__}")
     if h.is_zero():
         raise DomainError("cannot factor the zero rational function")
     top = factor_poly(h.num)
     bottom = factor_poly(h.den)
-    merged = dict(top.exponent_map())
-    for base, exp in bottom.factors:
-        merged[base] = merged.get(base, 0) - exp
-    factors = tuple(
-        sorted(((b, e) for b, e in merged.items() if e), key=lambda item: _poly_key(item[0]))
-    )
+    factors = top.factors + tuple((base, -exp) for base, exp in bottom.factors)
+    factors = tuple(sorted(factors, key=lambda item: _poly_key(item[0])))
     return FactoredPoly(top.unit / bottom.unit, factors)
 
 

@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import ParseError
-from .polynomials import Poly, poly_from_int_coeffs, poly_sum
+from .polynomials import Poly, _poly, poly_sum
 from .weyl import X, Y, WeylElement
 
 MAX_EXPONENT = 10_000
@@ -271,7 +271,7 @@ class _Values:
         if base is X or base is Y:
             return WeylElement._canonical({exponent if base is X else -exponent: _ONE})
         if base is _H:
-            return poly_from_int_coeffs([0] * exponent + [1])
+            return _poly([0] * exponent + [1])
         return base ** exponent
 
 

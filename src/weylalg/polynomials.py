@@ -613,8 +613,7 @@ class RatFunc:
             if c != 1:
                 inv = 1 / c
                 num, den = num * inv, den * inv
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self.num, self.den = num, den
 
     # -- inspection --------------------------------------------------------
 
@@ -775,8 +774,7 @@ class RatFunc:
 def _ratfunc(num: Poly, den: Poly) -> RatFunc:
     """A RatFunc from parts already in canonical form: coprime, den monic."""
     r = object.__new__(RatFunc)
-    object.__setattr__(r, "num", num)
-    object.__setattr__(r, "den", den)
+    r.num, r.den = num, den
     return r
 
 
@@ -866,7 +864,3 @@ def poly_sum(terms) -> Poly:
     return Poly.sum_of_products([
         (t if type(t) is Poly else _stored((t.numerator,), t.denominator), _ONE, _ONE) for t in terms
     ])
-
-
-def poly_from_int_coeffs(coeffs) -> Poly:
-    return _poly(list(coeffs))

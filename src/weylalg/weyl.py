@@ -368,7 +368,8 @@ def in_skew_subalgebra(a: WeylElement, side: str) -> bool:
 @dataclass(frozen=True)
 class HomogeneousElement:
     """coeff * X**degree with coeff in Q(H); the Laurent presentation used
-    for centralizer computations."""
+    for centralizer computations.  The constructor coerces coeff into Q(H):
+    an int, Fraction or Poly becomes a RatFunc."""
 
     degree: int
     coeff: RatFunc
@@ -376,8 +377,10 @@ class HomogeneousElement:
     def __post_init__(self):
         if type(self.degree) is not int:
             raise DomainError(f"homogeneous degree must be an integer, got {self.degree!r}")
-        if self.coeff.is_zero():
+        coeff = BElement._coefficient(self.coeff)
+        if coeff.is_zero():
             raise DomainError("homogeneous elements are nonzero by definition")
+        object.__setattr__(self, "coeff", coeff)
 
     def is_monic(self) -> bool:
         return self.coeff.is_monic()
@@ -408,17 +411,15 @@ class HomogeneousElement:
 
     @staticmethod
     def from_graded_component(degree: int, coeff) -> "HomogeneousElement":
-        c = BElement._coefficient(coeff)
-        if degree >= 0:
-            return HomogeneousElement(degree, c)
-        return HomogeneousElement(degree, c * rising_product(-degree))
+        if degree < 0:
+            coeff = BElement._coefficient(coeff) * rising_product(-degree)
+        return HomogeneousElement(degree, coeff)
 
     @staticmethod
     def from_graded(a: GradedElement) -> "HomogeneousElement":
-        comps = a.components()
-        if len(comps) != 1:
-            raise DomainError("element is not homogeneous")
-        return HomogeneousElement.from_graded_component(*comps[0])
+        if not a.is_homogeneous():
+            raise DomainError("element is not homogeneous" if a else "the zero element is not homogeneous")
+        return HomogeneousElement.from_graded_component(*a.components()[0])
 
     def to_json(self):
         return {"degree": self.degree, "coeff": self.coeff.to_json()}

@@ -141,6 +141,12 @@ nonzero_maps = st.dictionaries(
 )
 
 
+small_polys = st.lists(st.integers(-4, 4), min_size=1, max_size=4).map(
+    lambda coeffs: Poly(enumerate(coeffs))
+).filter(lambda f: not f.is_zero())
+nonzero_ratfuncs = st.builds(RatFunc, small_polys, small_polys)
+
+
 class TestDeconvolve:
     @given(exponent_maps, st.integers(1, 9))
     @settings(max_examples=300, deadline=None)
@@ -184,6 +190,12 @@ class TestTwistedRoot:
         cert = err.value.certificate
         assert cert.kind == "residue"
         assert cert.residue != 0
+        # the minus direction solves on mirrored positions and reports the
+        # failing one back in the orbit's own positions
+        with pytest.raises(TwistedRootInfeasible) as err:
+            solve_twisted_root(RatFunc(Hp**2 * (Hp + 2) ** 2), 2, 1, "minus")
+        cert = err.value.certificate
+        assert (cert.kind, cert.orbit_rep, cert.position, cert.residue) == ("residue", Hp + 2, -1, 4)
 
     def test_minus_direction(self):
         beta = RatFunc(Hp * (Hp + 3))
@@ -213,6 +225,13 @@ class TestTwistedRoot:
         monkeypatch.setattr(centralizer_module, "twisted_product", lambda beta, k, s, direction: beta)
         with pytest.raises(RuntimeError, match="deconvolution produced a wrong twisted root"):
             solve_twisted_root(RatFunc(Hp * (Hp - 1)), 2, 1, "plus")
+
+    @given(nonzero_ratfuncs, st.integers(1, 6), st.integers(1, 3), st.sampled_from(["plus", "minus"]))
+    @settings(max_examples=100, deadline=None)
+    def test_twisted_product_is_a_homogeneous_power(self, beta, k, s, direction):
+        # (beta X^(+-s))^k = beta sigma^(+-s)(beta) ... X^(+-ks)
+        sign = 1 if direction == "plus" else -1
+        assert twisted_product(beta, k, s, direction) == (HomogeneousElement(sign * s, beta) ** k).coeff
 
     def test_ratfunc_alpha(self):
         beta = RatFunc(Hp, Hp**2 + 1)
@@ -250,6 +269,8 @@ class TestCentralizerGenerator:
         result = centralizer_generator(HomogeneousElement(2, RatFunc(Hp * (Hp - 1))))
         assert result.s == 1
         assert result.v == HomogeneousElement(1, RatFunc(Hp))
+        # a Poly coefficient is coerced into Q(H) at construction
+        assert centralizer_generator(HomogeneousElement(2, Hp * (Hp - 1))) == result
 
     def test_negative_degree(self):
         u = HomogeneousElement.from_graded_component(-1, Hp)  # H*Y
@@ -341,10 +362,12 @@ class TestPowerDecompose:
         assert power_decompose(w, x) == PowerDecomposition(scalar=F(1), exponent=4)
 
     def test_scaled_square(self):
-        v = HomogeneousElement(1, RatFunc(Hp))
-        w = HomogeneousElement(2, RatFunc(2 * Hp * (Hp - 1)))
-        decomp = power_decompose(w, v)
-        assert (decomp.scalar, decomp.exponent) == (F(2), 2)
+        # Poly coefficients are coerced into Q(H) like RatFunc ones
+        for wrap in (RatFunc, lambda f: f):
+            v = HomogeneousElement(1, wrap(Hp))
+            w = HomogeneousElement(2, wrap(2 * Hp * (Hp - 1)))
+            decomp = power_decompose(w, v)
+            assert (decomp.scalar, decomp.exponent) == (F(2), 2)
 
     def test_not_a_power(self):
         x = HomogeneousElement(1, RatFunc(Poly.one()))

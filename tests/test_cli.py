@@ -157,10 +157,12 @@ class TestCentralizerCommand:
         assert (code, out) == (0, "K(H)\n")
 
     def test_constant_rejected(self, capsys):
-        assert run_cli(capsys, "centralizer", "5")[0] == 3
+        assert run_cli(capsys, "centralizer", "5") == (
+            3, "", "error: constants are central; their centralizer is the whole algebra\n"
+        )
 
     def test_non_homogeneous_rejected(self, capsys):
-        assert run_cli(capsys, "centralizer", "X + Y")[0] == 3
+        assert run_cli(capsys, "centralizer", "X + Y") == (3, "", "error: element is not homogeneous\n")
         assert run_cli(capsys, "centralizer", "0") == (
             3, "", "error: the zero element is not homogeneous\n"
         )

@@ -339,6 +339,24 @@ class TestStructure:
         assert result.exponent_map() == {H: 1, H - 1: 2, H**2 + 1: -1, H + 2: -1}
         assert result.expand() == h
 
+    def test_ratfunc_coprime_quotients(self):
+        # a RatFunc's numerator and denominator are coprime, so each base
+        # comes from exactly one of them, and the denominator's are negative
+        rng = random.Random(32)
+        for _ in range(30):
+            bases = rng.sample(KNOWN_IRREDUCIBLE, rng.randint(1, 6))
+            cut = rng.randint(0, len(bases))
+            top = {base: rng.randint(1, 3) for base in bases[:cut]}
+            bottom = {base: rng.randint(1, 3) for base in bases[cut:]}
+            num = prod((base**e for base, e in top.items()), start=Poly.constant(rng.randint(1, 9)))
+            den = prod((base**e for base, e in bottom.items()), start=Poly.constant(-rng.randint(1, 9)))
+            h = RatFunc(num, den)
+            result = factor_ratfunc(h)
+            assert result.expand() == h
+            seen = [base for base, _ in result.factors]
+            assert len(set(seen)) == len(seen)
+            assert {base: -e for base, e in result.factors if e < 0} == bottom
+
     def test_is_irreducible_helper(self):
         assert is_irreducible(H**2 + 1)
         assert not is_irreducible(H**2 - 1)

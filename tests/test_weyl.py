@@ -249,8 +249,14 @@ class TestHomogeneous:
             u = HomogeneousElement.from_graded_component(i, f)
             assert u.to_graded() == BElement({i: RatFunc(f)})
             assert HomogeneousElement.from_graded(WeylElement({i: f})) == u
-        with pytest.raises(DomainError, match="not homogeneous"):
+            # the constructor coerces a Poly or int coefficient into Q(H)
+            assert HomogeneousElement(i, f) == HomogeneousElement(i, RatFunc(f))
+            assert HomogeneousElement(i, 3) == HomogeneousElement(i, RatFunc(3))
+            assert HomogeneousElement(-2, f).to_graded() == HomogeneousElement(-2, RatFunc(f)).to_graded()
+        with pytest.raises(DomainError, match="^element is not homogeneous$"):
             HomogeneousElement.from_graded(X + Y)
+        with pytest.raises(DomainError, match="^the zero element is not homogeneous$"):
+            HomogeneousElement.from_graded(ZERO)
 
     def test_negative_degree_unit(self):
         # Y = H X^-1, so the v-basis coefficient 1 at degree -1 becomes H
@@ -327,6 +333,8 @@ class TestElementBasics:
             BElement({0: object()})
         with pytest.raises(TypeError, match="cannot use str as a RatFunc coefficient"):
             HomogeneousElement.from_graded_component(1, "x")
+        with pytest.raises(TypeError, match="cannot use str as a RatFunc coefficient"):
+            HomogeneousElement(1, "x")
         with pytest.raises(TypeError, match="cannot use RatFunc as a Poly coefficient"):
             WeylElement({0: RatFunc(Hp, Hp + 1)})
 
