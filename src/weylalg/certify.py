@@ -26,27 +26,28 @@ Y, composed once, must equal (Q, P).
 
 impossibility_sweep encodes the excluded configurations as exact linear
 systems with integer coefficients, one triangular block per unknown
-polynomial: 1 - sigma^s lowers the degree by exactly one, so the column of
-H^e ends in row e - 1 with the entry e*s, never zero.  A cell is empty when
-the row where its top coefficient's column ends lies below row 0 (so its
-right-hand side is 0) and holds no other entry: that row forces the top
-coefficient to 0.  The other cells have witnesses in closed form, each
-checked independently: case-ii/iii at p = 1, deg a = deg b = 0 get the
-scalar family alpha * beta = t, and case-v at p = q, deg a = deg b = d gets
-a = -H/p - H^d, b = H^d, since (1 - sigma^-p)(-H/p) = 1.  Each sweep keeps
-one column table: the columns for a shift are built once, each from the one
-before by Pascal's rule, and every cell of the sweep reads them.
+polynomial.  The degree lemma (1 - sigma^s)(H^e) = e*s*H^(e-1) + lower
+terms puts the end of the column of H^e in row e - 1, with the entry e*s,
+never zero.  A cell is empty when the row where its top coefficient's
+column ends lies below row 0 (so its right-hand side is 0) and holds no
+other entry: that row forces the top coefficient to 0.  The other cells
+have witnesses in closed form, each checked independently: case-ii/iii at
+p = 1, deg a = deg b = 0 get the scalar family alpha * beta = t, and
+case-v at p = q, deg a = deg b = d gets a = -H/p - H^d, b = H^d, since
+(1 - sigma^-p)(-H/p) = 1.  A sweep reads where a column ends from
+delta_op, once per column, in a cache that ends with the sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import DomainError, OutOfScopeError
 from .parser import format_pretty
-from .polynomials import Poly, delta_op, rat_to_str
-from .tame import AutoWord, PhiX, Torus, Translate, Xi, affine_decompose, auto_images
+from .polynomials import Poly, _poly, delta_op, rat_to_str
+from .tame import AutoWord, PhiX, Torus, Translate, Xi, _affine_word, auto_images
 from .weyl import (
     ONE,
     WeylElement,
@@ -95,7 +96,7 @@ def _reduce(P: WeylElement, Q: WeylElement) -> AutoWord:
     if total_degree(P) <= 1 and total_degree(Q) <= 1:
         a, b, lam = _affine_parts(P)
         c, d, mu = _affine_parts(Q)
-        return affine_decompose(a, b, c, d, lam, mu)
+        return _affine_word(a, b, c, d, lam, mu)
     # constant terms commute with everything; peel them into translations
     # so the mass dispatch below sees pure graded shapes
     const_p, const_q = (f.coeff(0) if f is not None else Fraction(0)
@@ -147,7 +148,8 @@ def _reduce(P: WeylElement, Q: WeylElement) -> AutoWord:
 
 def certify_pair(P: WeylElement, Q: WeylElement) -> AutoWord:
     """A tame word tau with tau(Y) = P, tau(X) = Q, verified by composing
-    its images of X and Y once and comparing them with (Q, P).
+    its images of X and Y once and comparing them with (Q, P).  _reduce
+    builds every word unchecked, an affine pair's SL2 word too.
 
     Raises DomainError when [P, Q] != 1 and OutOfScopeError when the masses
     fall outside the certified hypotheses.
@@ -168,39 +170,22 @@ def certify_pair(P: WeylElement, Q: WeylElement) -> AutoWord:
 
 
 # ----------------------------------------------------------------------
-# the sweep's triangular blocks
+# the sweep's top rows
 # ----------------------------------------------------------------------
 
-def _column_table():
-    """A per-sweep table: table(deg_bound, shift) gives the integer
-    coefficient lists of (1 - sigma^shift)(H^e) for e = 0..deg_bound.
+def _top_row(e, shift):
+    """The row where the column of H^e ends in a system of 1 - sigma^shift.
 
-    The column of H^e is the negated list of (H - shift)^e below H^e, since
-    the H^e terms cancel.  Pascal's rule builds it from the column before in
-    O(e): -(H - shift)^(e+1) = (H - shift) * -(H - shift)^e.  A request
-    extends the shift's table only as far as it needs and returns a slice of
-    it; the columns are shared, so callers must not modify them.
+    The degree lemma (1 - sigma^s)(H^e) = e*s*H^(e-1) + lower terms puts it
+    at e - 1, with the entry e*s != 0.  Every other column of the block ends
+    lower, since the H^e' terms cancel: deg (1 - sigma^s)(H^e') <= e' - 1.
+    A top row at or above 1 has right-hand side 0, so when no other column
+    reaches it, it forces the top coefficient to 0.  A case-ii/iii cell has
+    one block, and is empty when _top_row(big, -p) >= 1; a case-v cell is
+    empty when deg a < deg b and _top_row(deg b, -q) >= 1, since every
+    column of a then ends below row deg b - 1.
     """
-    by_shift = {}
-
-    def table(deg_bound, shift):
-        columns = by_shift.setdefault(shift, [[]])
-        while len(columns) <= deg_bound:
-            prev = columns[-1] + [-1]  # -(H - shift)^e with its leading term
-            columns.append([-shift * prev[0]] + [a - shift * b for a, b in zip(prev, prev[1:])])
-        return columns[:deg_bound + 1]
-
-    return table
-
-
-def _top_row_empties(blocks, table, top):
-    """Whether the row where column top ends forces unknown top to 0: it lies
-    below row 0, so its right-hand side is 0, and holds no other entry."""
-    columns = [c for deg_bound, shift in blocks for c in table(deg_bound, shift)]
-    row = len(columns[top]) - 1
-    return row >= 1 and columns[top][row] != 0 and not any(
-        len(c) > row and c[row] for i, c in enumerate(columns) if i != top
-    )
+    return delta_op(_poly([0] * e + [1]), shift).degree
 
 
 # ----------------------------------------------------------------------
@@ -253,12 +238,11 @@ class SweepReport:
         return [c for c in self.cells if c.status == "solutions"]
 
 
-def _cell_pair_system(table, p, q, deg_a, deg_b, pattern):
+def _cell_pair_system(top_row, p, q, deg_a, deg_b, pattern):
     """Cell for: exists a (exact degree deg_a), b (exact degree deg_b) with
     (1 - sigma^-p)(a) + (1 - sigma^-q)(b) = 1."""
-    blocks = [(deg_a, -p), (deg_b, -q)]
     detail = f"(1-s^-{p})(a) + (1-s^-{q})(b) = 1, deg a = {deg_a}, deg b = {deg_b}"
-    if _top_row_empties(blocks, table, deg_a + 1 + deg_b):
+    if deg_a < deg_b and top_row(deg_b, -q) >= 1:
         return SweepCell(
             pattern, p, q, deg_a, deg_b, "empty",
             detail + "; every solution drops the leading coefficient of b",
@@ -276,7 +260,7 @@ def _cell_pair_system(table, p, q, deg_a, deg_b, pattern):
     return SweepCell(pattern, p, q, deg_a, deg_b, "solutions", detail + "; witness verified", witness)
 
 
-def _cell_single_system(table, p, q, deg_a, deg_b, pattern, extra=""):
+def _cell_single_system(top_row, p, q, deg_a, deg_b, pattern, extra=""):
     """Cell for: exists alpha (deg deg_a), beta (deg deg_b) with
     [alpha X^p, beta Y^p] = 1, relaxed to gamma = alpha sigma^p(beta) (p,-p)
     of exact degree deg_a + deg_b + p with (1 - sigma^-p)(gamma) = 1."""
@@ -285,7 +269,7 @@ def _cell_single_system(table, p, q, deg_a, deg_b, pattern, extra=""):
         f"[a X^{p}, b Y^{p}] = 1 via (1-s^-{p})(gamma) = 1, "
         f"deg gamma = {deg_a} + {deg_b} + {p}{extra}"
     )
-    if _top_row_empties([(big, -p)], table, big):
+    if top_row(big, -p) >= 1:
         return SweepCell(
             pattern, p, q, deg_a, deg_b, "empty",
             detail + "; every solution has deg gamma <= 1, below the forced degree",
@@ -306,7 +290,7 @@ def _cell_single_system(table, p, q, deg_a, deg_b, pattern, extra=""):
     return SweepCell(pattern, p, q, deg_a, deg_b, "solutions", detail + "; solutions exist", witness)
 
 
-def _case_ii_cells(pattern, bounds, table):
+def _case_ii_cells(pattern, bounds, top_row):
     max_deg = bounds["max_coeff_deg"]
     for p in range(1, bounds["p"] + 1):
         for q in range(1, bounds["q"] + 1):
@@ -316,30 +300,30 @@ def _case_ii_cells(pattern, bounds, table):
                 continue
             for deg_a in range(max_deg + 1):
                 for deg_b in range(max_deg + 1):
-                    yield _cell_single_system(table, p, q, deg_a, deg_b, pattern)
+                    yield _cell_single_system(top_row, p, q, deg_a, deg_b, pattern)
 
 
-def _case_iii_cells(pattern, bounds, table):
+def _case_iii_cells(pattern, bounds, top_row):
     max_deg = bounds["max_coeff_deg"]
     note = "; from [P, Q_s] = 1 after the graded splitting of [P, Q] = 1"
     for p in range(2, bounds["p"] + 1):
         for deg_a in range(max_deg + 1):
             for deg_b in range(max_deg + 1):
-                yield _cell_single_system(table, p, p, deg_a, deg_b, pattern, note)
+                yield _cell_single_system(top_row, p, p, deg_a, deg_b, pattern, note)
 
 
-def _case_v_cells(pattern, bounds, table):
+def _case_v_cells(pattern, bounds, top_row):
     max_deg = bounds["max_coeff_deg"]
     for p in range(2, bounds["p"] + 1):
         for q in range(p, bounds["q"] + 1):
             if q == p:
                 for d in range(p - 1, p - 1 + max_deg + 1):
-                    yield _cell_pair_system(table, p, q, d, d, pattern)
+                    yield _cell_pair_system(top_row, p, q, d, d, pattern)
                 continue
             for deg_a in range(p - 1, p - 1 + max_deg + 1):
                 for deg_b in range(q - 1, q - 1 + max_deg + 1):
                     if deg_a < deg_b:
-                        yield _cell_pair_system(table, p, q, deg_a, deg_b, pattern)
+                        yield _cell_pair_system(top_row, p, q, deg_a, deg_b, pattern)
 
 
 # sweep pattern -> its cells, in report order
@@ -367,6 +351,6 @@ def impossibility_sweep(pattern: str, bounds: dict) -> SweepReport:
             raise DomainError(f"bound {key!r} = {bounds[key]} exceeds the cap {_SWEEP_CAP}")
     if bounds["p"] < 1 or bounds["q"] < 1:
         raise DomainError("bounds p and q must be at least 1")
-    table = _column_table()  # shared by the cells of this sweep only
-    cells = tuple(_SWEEPS[pattern](pattern, bounds, table))
+    top_row = cache(_top_row)  # shared by the cells of this sweep only
+    cells = tuple(_SWEEPS[pattern](pattern, bounds, top_row))
     return SweepReport(pattern=pattern, bounds=dict(bounds), cells=cells)

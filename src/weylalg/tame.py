@@ -304,15 +304,18 @@ def _linear_word(a, b, c, d) -> list:
     return [Xi()] + inner
 
 
+def _affine_word(a, b, c, d, lam, mu) -> AutoWord:
+    """affine_decompose's word from Fraction entries, not yet checked."""
+    gens = [Translate(mu, lam)] if lam or mu else []
+    gens.extend(_linear_word(a, b, c, d))
+    return AutoWord(tuple(gens))
+
+
 def affine_decompose(a, b, c, d, lam, mu) -> AutoWord:
     """A word tau with tau(Y) = a Y + b X + lam and tau(X) = c Y + d X + mu."""
     a, b, c, d = _as_fraction(a), _as_fraction(b), _as_fraction(c), _as_fraction(d)
     lam, mu = _as_fraction(lam), _as_fraction(mu)
-    gens = []
-    if lam or mu:
-        gens.append(Translate(mu, lam))
-    gens.extend(_linear_word(a, b, c, d))
-    word = AutoWord(tuple(gens))
+    word = _affine_word(a, b, c, d, lam, mu)
     expect_y = WeylElement({-1: a, 1: b, 0: Poly.constant(lam)})
     expect_x = WeylElement({-1: c, 1: d, 0: Poly.constant(mu)})
     if auto_images(word) != (expect_x, expect_y):

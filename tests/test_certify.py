@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import comb
 from operator import mul
 
 import pytest
@@ -26,7 +27,8 @@ from weylalg import (
     structure_constant,
 )
 import weylalg.certify as certify_module
-from weylalg.certify import _cell_pair_system, _column_table, _top_row_empties
+import weylalg.tame as tame_module
+from weylalg.certify import _cell_pair_system, _top_row
 from weylalg.polynomials import delta_op
 from weylalg.weyl import ONE, ZERO, X, Y
 
@@ -61,6 +63,19 @@ class TestExamples:
         monkeypatch.setattr(certify_module, "_reduce", lambda P, Q: AutoWord((Xi(),)))
         with pytest.raises(RuntimeError, match="final application check"):
             certify_pair(Y, X)
+
+    def test_certificate_is_composed_once(self, monkeypatch):
+        # an affine pair's word is checked by certify_pair alone
+        calls, images = [], tame_module.auto_images
+
+        def counted(word):
+            calls.append(word)
+            return images(word)
+
+        monkeypatch.setattr(certify_module, "auto_images", counted)
+        monkeypatch.setattr(tame_module, "auto_images", counted)
+        word = certify_pair(Y + 1, X)
+        assert calls == [word]
 
     def test_wrong_commutator(self):
         with pytest.raises(DomainError, match="commutator is -1"):
@@ -278,8 +293,8 @@ class TestSweep:
         assert impossibility_sweep("case-ii", bounds) == impossibility_sweep("case-ii", bounds)
 
     def test_cap_sweep_leaves_no_state(self):
-        # each sweep builds its own column table, so a cap-size sweep that
-        # fills the tables of every shift cannot change a later small one
+        # each sweep caches its own top rows, so a cap-size sweep that reads
+        # the columns of every shift cannot change a later small one
         small = {"p": 4, "q": 4, "max_coeff_deg": 3}
         patterns = ("case-ii", "case-iii", "case-v")
         alone = [impossibility_sweep(pattern, small).to_json() for pattern in patterns]
@@ -352,25 +367,14 @@ class TestSolver:
 
     @pytest.mark.parametrize("shift", [s for k in range(1, 17) for s in (k, -k)])
     def test_delta_columns_match_delta_op(self, shift):
-        # 48 = 16 + 16 + 16 is the largest block a sweep under the default cap builds
-        expected = []
-        for e in range(49):
-            coeffs = dict(delta_op(Poly(((e, 1),)), shift).terms)
-            expected.append([coeffs.get(j, 0) for j in range(e)])  # the degree drops by one
-        # one table extended step by step and then read back, and one built at once
-        for table, order in ((_column_table(), [*range(25), *range(48, -1, -1)]),
-                             (_column_table(), range(48, -1, -1))):
-            for deg_bound in order:
-                columns = table(deg_bound, shift)
-                assert columns == expected[:deg_bound + 1]
-                assert all(type(c) is int for column in columns for c in column)
-        assert table(3, shift)[2] is table(10, shift)[2]  # slices share the columns
-
-    def test_table_keeps_shifts_apart(self):
-        table = _column_table()
-        for shift in (2, -2, 3, 2, -3, -2):
-            for e, column in enumerate(table(9, shift)):
-                assert Poly(enumerate(column)) == delta_op(Poly(((e, 1),)), shift)
+        # the column of H^e is H^e - (H - s)^e, which ends in row e - 1 with
+        # the entry e*s: the degree lemma behind _top_row.  48 = 16 + 16 + 16
+        # is the largest column a sweep under the default cap reads
+        for e in range(1, 49):
+            column = [-comb(e, j) * (-shift) ** (e - j) for j in range(e)]
+            assert delta_op(Hp**e, shift) == Poly(enumerate(column))
+            assert column[-1] == e * shift
+            assert _top_row(e, shift) == e - 1
 
 
 def _keeps_tops(blocks, tops):
@@ -397,25 +401,23 @@ def _is_case_v_shape(p, q, deg_a, deg_b):
 
 class TestBlockSolver:
     """The sweep's answers on its block systems against Bareiss on the dense
-    rows, on a wider grid than the sweep tests: the row rule's verdicts, and
+    rows, on a wider grid than the sweep tests: the top-row verdicts, and
     the closed-form witness of each solvable case-v cell."""
 
     def test_single_blocks_match_bareiss(self):
-        # case-ii/iii blocks (big, -p): the row rule empties exactly the blocks
-        # whose top coefficient every solution sets to 0
-        table = _column_table()
+        # case-ii/iii blocks (big, -p): a top row at or above 1 empties exactly
+        # the blocks whose top coefficient every solution sets to 0
         for big in range(1, 25):
             for p in range(1, 17):
                 blocks = [(big, -p)]
-                assert _top_row_empties(blocks, table, big) != _keeps_tops(blocks, [big]), blocks
+                assert (_top_row(big, -p) >= 1) != _keeps_tops(blocks, [big]), blocks
 
     @pytest.mark.parametrize("p", range(1, 11))
     def test_sweep_blocks_match_bareiss(self, p):
-        table = _column_table()
         # case-ii/iii: one block of degree deg_a + deg_b + p
         for big in range(p, p + 25):
             blocks = [(big, -p)]
-            assert _top_row_empties(blocks, table, big) != _keeps_tops(blocks, [big]), blocks
+            assert (_top_row(big, -p) >= 1) != _keeps_tops(blocks, [big]), blocks
         # case-v: two blocks side by side.  An emptied pair keeps no solution
         # with b's top; a cell of the sweep's shape gets Bareiss's verdict, and
         # its witness solves the dense rows
@@ -424,11 +426,11 @@ class TestBlockSolver:
                 for deg_b in range(13):
                     blocks = [(deg_a, -p), (deg_b, -q)]
                     tops = [deg_a, deg_a + 1 + deg_b]
-                    if _top_row_empties(blocks, table, tops[1]):
+                    if deg_a < deg_b and _top_row(deg_b, -q) >= 1:
                         assert not _keeps_tops(blocks, tops[1:]), blocks
                     if not _is_case_v_shape(p, q, deg_a, deg_b):
                         continue
-                    cell = _cell_pair_system(table, p, q, deg_a, deg_b, "case-v")
+                    cell = _cell_pair_system(_top_row, p, q, deg_a, deg_b, "case-v")
                     solvable = _keeps_tops(blocks, tops)
                     assert cell.status == ("solutions" if solvable else "empty"), cell
                     if solvable:
@@ -437,10 +439,9 @@ class TestBlockSolver:
 
     def test_solutions_satisfy_the_balance(self):
         # every case-v witness up to the cap, checked apart from the sweep's own check
-        table = _column_table()
         for p in range(2, 17):
             for d in range(p - 1, p + 16):
-                cell = _cell_pair_system(table, p, p, d, d, "case-v")
+                cell = _cell_pair_system(_top_row, p, p, d, d, "case-v")
                 a, b = (Poly.from_json(cell.witness[k]) for k in "ab")
                 assert delta_balance_check(a, b, p, p) == Poly.one(), cell
 
@@ -508,8 +509,8 @@ class TestSweepRowRule:
         assert checked
 
     def test_unsolvable_case_v_cell_is_an_internal_defect(self, monkeypatch):
-        # with the row rule silenced, the p < q cells fall outside the closed form
-        monkeypatch.setattr(certify_module, "_top_row_empties", lambda blocks, table, top: False)
+        # with every top row at 0, the p < q cells fall outside the closed form
+        monkeypatch.setattr(certify_module, "_top_row", lambda e, shift: 0)
         with pytest.raises(RuntimeError, match="certifier internal defect: top row does not decide"):
             impossibility_sweep("case-v", {"p": 2, "q": 3, "max_coeff_deg": 0})
 
@@ -523,6 +524,6 @@ class TestSweepRowRule:
             impossibility_sweep("case-ii", {"p": 1, "q": 1, "max_coeff_deg": 0})
 
     def test_undecided_row_is_an_internal_defect(self, monkeypatch):
-        monkeypatch.setattr(certify_module, "_top_row_empties", lambda blocks, table, top: False)
+        monkeypatch.setattr(certify_module, "_top_row", lambda e, shift: 0)
         with pytest.raises(RuntimeError, match="certifier internal defect"):
             impossibility_sweep("case-iii", {"p": 2, "q": 2, "max_coeff_deg": 0})

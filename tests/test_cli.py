@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -231,6 +232,16 @@ class TestDeterminism:
         second = run_cli(capsys, *args)
         assert first == second
         assert first[0] == 0
+
+    @pytest.mark.parametrize("pattern", ["case-ii", "case-iii", "case-v"])
+    def test_cap_sweep_matches_its_hash(self, capsys, pattern):
+        # tests/cap_sweep.sha256 pins the JSON of each sweep at the cap
+        lines = Path(__file__).with_name("cap_sweep.sha256").read_text(encoding="utf-8").splitlines()
+        pinned = {name: digest for digest, name in map(str.split, lines)}
+        args = ("sweep", pattern, "--p", "16", "--q", "16", "--max-coeff-deg", "16", "--json")
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned[f"cap_sweep_{pattern}.json"]
 
     def test_sweep_text_output(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "case-v", "--p", "2", "--q", "3", "--max-coeff-deg", "1")
