@@ -22,7 +22,11 @@ word in one pass, with no recursion:
     are constants, an affine pair (the proof is in _reduce's last comment).
 
 Every certificate is verified before it is returned: its images of X and
-Y, composed once, must equal (Q, P).
+Y, composed once, must equal (Q, P).  That check is also the proof of
+[P, Q] = 1, since every generator preserves YX - XY = 1, so
+[P, Q] = tau([Y, X]) = 1.  The commutator itself is computed only to word
+a refusal: a pair with [P, Q] != 1 is refused with it, ahead of any other
+error.
 
 impossibility_sweep encodes the excluded configurations as exact linear
 systems with integer coefficients, one triangular block per unknown
@@ -45,7 +49,6 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import DomainError, OutOfScopeError
-from .parser import format_pretty
 from .polynomials import Poly, _poly, delta_op, rat_to_str
 from .tame import AutoWord, PhiX, Torus, Translate, Xi, _affine_word, auto_images
 from .weyl import (
@@ -146,25 +149,44 @@ def _reduce(P: WeylElement, Q: WeylElement) -> AutoWord:
     raise _internal(f"pair of masses {mass(P)}, {mass(Q)} has no mass-1 side")
 
 
+def _refuse_noncommuting(P, Q):
+    """Raise DomainError when [P, Q] != 1."""
+    comm = commutator(P, Q)
+    if comm != ONE:
+        from .parser import format_pretty
+
+        raise DomainError(f"commutator is {format_pretty(comm)}, not 1")
+
+
 def certify_pair(P: WeylElement, Q: WeylElement) -> AutoWord:
     """A tame word tau with tau(Y) = P, tau(X) = Q, verified by composing
     its images of X and Y once and comparing them with (Q, P).  _reduce
     builds every word unchecked, an affine pair's SL2 word too.
 
-    Raises DomainError when [P, Q] != 1 and OutOfScopeError when the masses
-    fall outside the certified hypotheses.
+    The check also proves [P, Q] = 1: every generator preserves
+    YX - XY = 1, so [P, Q] = tau([Y, X]) = 1.  A certified pair therefore
+    never computes its commutator; a refused one does, to name it.
+
+    Raises DomainError when [P, Q] != 1, ahead of any other refusal, and
+    OutOfScopeError when the masses fall outside the certified hypotheses.
     """
-    comm = commutator(P, Q)
-    if comm != ONE:
-        raise DomainError(f"commutator is {format_pretty(comm)}, not 1")
+    if not (isinstance(P, WeylElement) and isinstance(Q, WeylElement)):
+        # the commutator refuses operands that are not elements before mass reads them
+        _refuse_noncommuting(P, Q)
     mp, mq = mass(P), mass(Q)
     if not ((mp <= 2 and mq <= 2) or mp == 1 or mq == 1):
+        _refuse_noncommuting(P, Q)
         raise OutOfScopeError(
             f"masses ({mp}, {mq}) are outside the certified range: "
             "need both <= 2 or one equal to 1"
         )
-    word = _reduce(P, Q)
+    try:
+        word = _reduce(P, Q)
+    except (DomainError, RuntimeError):
+        _refuse_noncommuting(P, Q)
+        raise
     if auto_images(word) != (Q, P):
+        _refuse_noncommuting(P, Q)
         raise _internal("certificate failed the final application check")
     return word
 

@@ -63,25 +63,61 @@ class TestExamples:
         monkeypatch.setattr(certify_module, "_reduce", lambda P, Q: AutoWord((Xi(),)))
         with pytest.raises(RuntimeError, match="final application check"):
             certify_pair(Y, X)
+        with pytest.raises(DomainError, match="commutator is -1, not 1"):
+            certify_pair(X, Y)
+
+    def test_reduction_defect_of_a_commuting_pair_is_raised(self, monkeypatch):
+        def defect(P, Q):
+            raise certify_module._internal("patched reduction")
+
+        monkeypatch.setattr(certify_module, "_reduce", defect)
+        with pytest.raises(RuntimeError, match="patched reduction"):
+            certify_pair(Y, X)
 
     def test_certificate_is_composed_once(self, monkeypatch):
-        # an affine pair's word is checked by certify_pair alone
+        # each word is checked by certify_pair alone, and that check is the
+        # proof of [P, Q] = 1: no commutator is computed
         calls, images = [], tame_module.auto_images
+        commutators = []
 
         def counted(word):
             calls.append(word)
             return images(word)
 
+        def counted_commutator(a, b):
+            commutators.append((a, b))
+            return commutator(a, b)
+
         monkeypatch.setattr(certify_module, "auto_images", counted)
         monkeypatch.setattr(tame_module, "auto_images", counted)
-        word = certify_pair(Y + 1, X)
-        assert calls == [word]
+        monkeypatch.setattr(certify_module, "commutator", counted_commutator)
+        flipped = AutoWord((PhiX(2, F(3)), Xi()))
+        pairs = {
+            "affine": (Y + 1, X),
+            "mass-1": (normalize_text("2*Y + X^3 + 1"), normalize_text("1/2*X")),
+            "xi-flipped": (apply_auto(flipped, Y), apply_auto(flipped, X)),
+        }
+        for kind, (P, Q) in pairs.items():
+            calls.clear()
+            word = certify_pair(P, Q)
+            assert calls == [word], kind
+            assert commutators == [], kind
 
     def test_wrong_commutator(self):
-        with pytest.raises(DomainError, match="commutator is -1"):
-            certify_pair(X, Y)
-        with pytest.raises(DomainError):
-            certify_pair(Y, Y)
+        # each refusal names the commutator, whichever step failed first
+        # (the step's own error is its context)
+        refusals = [
+            (X, Y, "ad - bc = 1", "commutator is -1, not 1"),
+            (normalize_text("Y + X^2"), normalize_text("X + Y^2"), "no mass-1 side", r"commutator is -4\*H \+ 3, not 1"),
+            (normalize_text("H"), X, "complement is not a polynomial in X", r"commutator is X\^1, not 1"),
+            (Y, 5, None, "commutator is 0, not 1"),
+            (Y, Y, "ad - bc = 1", "commutator is 0, not 1"),
+        ]
+        for P, Q, failure, message in refusals:
+            with pytest.raises(DomainError, match=message) as info:
+                certify_pair(P, Q)
+            context = info.value.__context__
+            assert (context is None) if failure is None else (failure in str(context)), (P, Q)
 
     def test_out_of_scope_masses(self):
         from weylalg import AutoWord, PhiY as PhiYGen
@@ -92,6 +128,11 @@ class TestExamples:
         mp, mq = mass(P), mass(Q)
         assert not ((mp <= 2 and mq <= 2) or mp == 1 or mq == 1)
         with pytest.raises(OutOfScopeError):
+            certify_pair(P, Q)
+        # a pair out of scope that does not commute is refused for that
+        P, Q = normalize_text("Y + X^2 + 1"), normalize_text("X + Y^2")
+        assert (mass(P), mass(Q)) == (3, 2)
+        with pytest.raises(DomainError, match=r"commutator is -4\*H \+ 3, not 1"):
             certify_pair(P, Q)
 
 

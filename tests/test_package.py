@@ -109,6 +109,13 @@ else:
         assert "weylalg.parser" in imported
         assert not imported & {"weylalg.factor", "weylalg.centralizer", "weylalg.certify", "weylalg.tame"}
 
+    def test_certifying_a_pair_loads_no_parser(self):
+        # the parser only words a refusal
+        code = "import weylalg\nfrom weylalg.weyl import X, Y\nweylalg.certify_pair(Y + X**2, X)"
+        assert loaded_after(code) == [
+            "weylalg", "weylalg.certify", "weylalg.errors", "weylalg.polynomials", "weylalg.tame", "weylalg.weyl",
+        ]
+
     def test_name_first_resolved_under_the_tracer_is_restored(self):
         # the benchmark's tracer rebinds the library's functions while it runs
         code = f"""
