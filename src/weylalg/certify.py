@@ -155,7 +155,8 @@ def _refuse_noncommuting(P, Q):
     if comm != ONE:
         from .parser import format_pretty
 
-        raise DomainError(f"commutator is {format_pretty(comm)}, not 1")
+        # operands that are not elements may give a scalar commutator
+        raise DomainError(f"commutator is {format_pretty(WeylElement._promote(comm))}, not 1")
 
 
 def certify_pair(P: WeylElement, Q: WeylElement) -> AutoWord:

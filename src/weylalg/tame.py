@@ -12,15 +12,21 @@ A word applies its generators left to right: the first entry acts first.
 Its images of X and Y are composed right to left: starting from (X, Y), each
 generator, last entry first, replaces the pair (p, q) by its own images
 evaluated at (p, q), so a generator costs at most two graded products.
-Applying the word to an element then substitutes the two images once and
+Applying the word to an element then substitutes the images once and
 re-normalizes, which preserves commutators because every generator's images
 again satisfy the defining relation.
 
+Composition is demand-driven: each formula declares which of p and q it
+reads, so a first pass over the word learns which images each step must
+produce, and the composition computes only those.  Applying a word to X
+composes only the image of X, and to a constant composes nothing.
+
 Each generator class is the one place that states what that generator is:
-its formula _compose(p, q), its images of X and Y evaluated at the pair
-(p, q); its inverse as a word (inverse_word); its text form (_text); and its
-JSON keys (_keys, one per rational constructor argument, in order).  The
-private base _Generator derives images(), to_json() and the JSON reader from
+its formulas _x(p, q) and _y(p, q), its images of X and Y evaluated at the
+pair (p, q), with _x_reads and _y_reads naming the images each one reads;
+its inverse as a word (inverse_word); its text form (_text); and its JSON
+keys (_keys, one per rational constructor argument, in order).  The private
+base _Generator derives images(), to_json() and the JSON reader from
 these.  PhiX and PhiY share _Triangular instead, which validates n, builds
 the inverse, and writes and reads their JSON keys "n" (an integer) and
 "lambda".  A word's JSON entry names its generator's class in the "gen" key.
@@ -42,15 +48,21 @@ def _signed(scalar, body=""):
     return f" {sign} {rat_format(abs(scalar))}{body}"
 
 
+# which of the pair (p, q) a formula reads, and which images a composition
+# step must produce: _P for the image of X, _Q for the image of Y
+_P, _Q = 1, 2
+
+
 class _Generator:
-    """images(), to_json() and the JSON reader, derived from the _compose
-    and _keys of the subclass; _keys names the rational constructor
-    arguments in JSON, in order."""
+    """images(), to_json() and the JSON reader, derived from the _x, _y and
+    _keys of the subclass; _keys names the rational constructor arguments in
+    JSON, in order.  _x_reads and _y_reads say which of p and q the formulas
+    _x and _y read."""
 
     _keys = ()
 
     def images(self):
-        return self._compose(X, Y)
+        return self._x(X, Y), self._y(X, Y)
 
     def to_json(self):
         values = (getattr(self, f.name) for f in fields(self))
@@ -97,16 +109,26 @@ class _Triangular(_Generator):
 
 
 class PhiX(_Triangular):
-    def _compose(self, p, q):
-        return p, (q + p**self.n * self.lam if self.lam else q)
+    _x_reads, _y_reads = _P, _P | _Q
+
+    def _x(self, p, q):
+        return p
+
+    def _y(self, p, q):
+        return q + p**self.n * self.lam if self.lam else q
 
     def _text(self):
         return f"(X, Y{_signed(self.lam, f'*X^{self.n}')})"
 
 
 class PhiY(_Triangular):
-    def _compose(self, p, q):
-        return (p + q**self.n * self.lam if self.lam else p), q
+    _x_reads, _y_reads = _P | _Q, _Q
+
+    def _x(self, p, q):
+        return p + q**self.n * self.lam if self.lam else p
+
+    def _y(self, p, q):
+        return q
 
     def _text(self):
         return f"(X{_signed(self.lam, f'*Y^{self.n}')}, Y)"
@@ -116,6 +138,7 @@ class PhiY(_Triangular):
 class Torus(_Generator):
     mu: Fraction
     _keys = ("mu",)
+    _x_reads, _y_reads = _P, _Q
 
     def __post_init__(self):
         mu = _as_fraction(self.mu)
@@ -123,8 +146,11 @@ class Torus(_Generator):
             raise DomainError("Torus requires a nonzero scalar")
         object.__setattr__(self, "mu", mu)
 
-    def _compose(self, p, q):
-        return p * self.mu, q * (1 / self.mu)
+    def _x(self, p, q):
+        return p * self.mu
+
+    def _y(self, p, q):
+        return q * (1 / self.mu)
 
     def inverse_word(self):
         return (Torus(1 / self.mu),)
@@ -138,13 +164,17 @@ class Translate(_Generator):
     c: Fraction
     d: Fraction
     _keys = ("c", "d")
+    _x_reads, _y_reads = _P, _Q
 
     def __post_init__(self):
         object.__setattr__(self, "c", _as_fraction(self.c))
         object.__setattr__(self, "d", _as_fraction(self.d))
 
-    def _compose(self, p, q):
-        return p + self.c, q + self.d
+    def _x(self, p, q):
+        return p + self.c
+
+    def _y(self, p, q):
+        return q + self.d
 
     def inverse_word(self):
         return (Translate(-self.c, -self.d),)
@@ -155,8 +185,13 @@ class Translate(_Generator):
 
 @dataclass(frozen=True)
 class Xi(_Generator):
-    def _compose(self, p, q):
-        return q, -p
+    _x_reads, _y_reads = _Q, _P
+
+    def _x(self, p, q):
+        return q
+
+    def _y(self, p, q):
+        return -p
 
     def inverse_word(self):
         # Xi^4 = id and Xi^2 = Torus(-1), so Xi^-1 = Torus(-1) then Xi
@@ -209,16 +244,33 @@ class AutoWord:
         return " ; ".join(g._text() for g in self.gens) if self.gens else "identity"
 
 
-def _evaluate(a: WeylElement, image_x: WeylElement, image_y: WeylElement) -> WeylElement:
-    """Substitute images for X and Y into the normal form of a."""
+def _reads(a: WeylElement) -> int:
+    """The images that _evaluate(a, ...) reads: that of X for a positive
+    degree, that of Y for a negative one, and both for a coefficient that is
+    not constant (the image of H is their product)."""
+    need = 0
+    for i, f in a.components():
+        if f.degree:
+            return _P | _Q
+        if i > 0:
+            need |= _P
+        elif i < 0:
+            need |= _Q
+    return need
+
+
+def _evaluate(a: WeylElement, image_x, image_y) -> WeylElement:
+    """Substitute images for X and Y into the normal form of a; an image
+    that a does not read (see _reads) may be None."""
     h_image = None
     result = WeylElement()
     for i, f in a.components():
         # each degree occurs once, so each power of an image is taken once
-        power = image_x**i if i > 0 else image_y**-i
+        power = image_x**i if i > 0 else image_y**-i if i < 0 else None
         if not f.degree:
-            # a scalar coefficient multiplies each component of the image
-            result = result + power * f.lc
+            # a scalar coefficient multiplies each component of the image;
+            # a constant needs no image
+            result = result + (power * f.lc if power is not None else WeylElement({0: f}))
             continue
         if h_image is None:
             h_image = image_y * image_x
@@ -226,7 +278,7 @@ def _evaluate(a: WeylElement, image_x: WeylElement, image_y: WeylElement) -> Wey
         acc = WeylElement({0: f.lc})
         for e in range(f.degree - 1, -1, -1):
             acc = acc * h_image + f.coeff(e)
-        term = acc if i == 0 else acc * power
+        term = acc if power is None else acc * power
         result = result + term
     return result
 
@@ -234,14 +286,28 @@ def _evaluate(a: WeylElement, image_x: WeylElement, image_y: WeylElement) -> Wey
 def apply_auto(word: AutoWord, a: WeylElement) -> WeylElement:
     if not isinstance(a, WeylElement):
         raise TypeError(f"apply_auto acts on a WeylElement, got {type(a).__name__}")
-    return _evaluate(a, *auto_images(word))
+    return _evaluate(a, *_images(word, _reads(a)))
 
 
 def auto_images(word: AutoWord):
     """(image of X, image of Y) under the whole word."""
+    return _images(word, _P | _Q)
+
+
+def _images(word: AutoWord, need: int):
+    """(image of X, image of Y) under word, with None for an image that need
+    (_P for X, _Q for Y) does not ask for.
+
+    The first pass, front to back, turns what the last composition step must
+    produce into what each earlier step must produce; the second composes
+    right to left and computes only those images."""
+    needs = []
+    for gen in word.gens:
+        needs.append(need)
+        need = (gen._x_reads if need & _P else 0) | (gen._y_reads if need & _Q else 0)
     p, q = X, Y
-    for gen in reversed(word.gens):
-        p, q = gen._compose(p, q)
+    for gen, need in zip(reversed(word.gens), reversed(needs)):
+        p, q = (gen._x(p, q) if need & _P else None), (gen._y(p, q) if need & _Q else None)
     return p, q
 
 

@@ -332,6 +332,8 @@ def total_degree(a: WeylElement):
 def _xi_flip(a: WeylElement, negated: int) -> WeylElement:
     """Send degree i to -i under H -> 1 - H, negating the odd degrees of
     sign negated."""
+    if not isinstance(a, WeylElement):
+        raise TypeError(f"xi acts on a WeylElement, got {type(a).__name__}")
     comp = {}
     for i, f in a.components():
         g = f.compose_affine(-1, 1)

@@ -111,6 +111,8 @@ class TestExamples:
             (normalize_text("Y + X^2"), normalize_text("X + Y^2"), "no mass-1 side", r"commutator is -4\*H \+ 3, not 1"),
             (normalize_text("H"), X, "complement is not a polynomial in X", r"commutator is X\^1, not 1"),
             (Y, 5, None, "commutator is 0, not 1"),
+            (5, 5, None, "commutator is 0, not 1"),
+            (Hp, Hp, None, "commutator is 0, not 1"),
             (Y, Y, "ad - bc = 1", "commutator is 0, not 1"),
         ]
         for P, Q, failure, message in refusals:

@@ -275,6 +275,23 @@ class TestImages:
             assert apply_auto(word(PhiX(3, 0), PhiY(2, 0)), letter) == letter
         assert products == []
 
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_applying_to_x_skips_a_first_phi_x(self, products, seed):
+        # the first generator's image of Y is the one that powers, and X never reads it
+        w = word(PhiX(3, F(-5, 2))) + random_tame(seed, word_len=5, max_n=3, coeff_height=6)
+        images = auto_images(w)
+        composed = len(products)
+        products.clear()
+        assert apply_auto(w, X) == images[0]
+        assert len(products) < composed
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_applying_to_a_constant_composes_nothing(self, products, seed):
+        w = random_tame(seed, word_len=5, max_n=3, coeff_height=6)
+        for constant in (WeylElement(), ONE, WeylElement({0: F(-3, 2)})):
+            assert apply_auto(w, constant) == constant
+        assert products == []
+
 
 # small rationals, so that the images of a word stay small enough for the
 # one-generator-at-a-time oracle
@@ -299,6 +316,16 @@ words = st.one_of(
 )
 coefficients = st.lists(rationals, max_size=3).map(lambda cs: Poly(enumerate(cs)))
 elements = st.dictionaries(st.integers(-3, 3), coefficients, max_size=3).map(WeylElement)
+
+
+class TestReadDeclarations:
+    @given(generators)
+    def test_formulas_read_only_what_they_declare(self, gen):
+        def pair(reads):
+            # the unread image of the pair is None, which no formula can use
+            return (X if reads & tame_module._P else None), (Y if reads & tame_module._Q else None)
+
+        assert (gen._x(*pair(gen._x_reads)), gen._y(*pair(gen._y_reads))) == gen.images()
 
 
 class TestAgainstSequentialOracle:

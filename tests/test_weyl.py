@@ -221,6 +221,13 @@ class TestXi:
             a = random_weyl(rng)
             assert {-i for i in a.support()} == xi_apply(a).support()
 
+    def test_acts_only_on_weyl_elements(self):
+        for flip in (xi_apply, xi_inverse_apply):
+            with pytest.raises(TypeError, match="WeylElement, got BElement"):
+                flip(X.to_b())
+            with pytest.raises(TypeError, match="WeylElement, got int"):
+                flip(3)
+
 
 class TestCentralizerMembership:
     def test_lemma_spot_check(self):
