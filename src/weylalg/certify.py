@@ -7,8 +7,8 @@ word in one pass, with no recursion:
 
   * affine pairs go through an explicit SL2 decomposition;
   * otherwise the constant terms of P and then Q become translations;
-  * a mass-1 P is swapped in as the partner, behind Torus(-1), Xi, and a
-    partner of negative degree is flipped by xi^-1, with one Xi at the end.
+  * a mass-1 P is swapped in as the partner, behind xi^-1, and a partner
+    of negative degree is flipped by xi^-1, with one Xi at the end.
     The partner is then lambda X, and each component of the complement
     P - Y/lambda becomes a triangular generator, then Torus(lambda).  No
     constant comes back after the flip: the only part of P whose
@@ -25,8 +25,8 @@ Every certificate is verified before it is returned: its images of X and
 Y, composed once, must equal (Q, P).  That check is also the proof of
 [P, Q] = 1, since every generator preserves YX - XY = 1, so
 [P, Q] = tau([Y, X]) = 1.  The commutator itself is computed only to word
-a refusal: a pair with [P, Q] != 1 is refused with it, ahead of any other
-error.
+a refusal: when the scope test, _reduce or the final check fails, one
+guarded block refuses a pair with [P, Q] != 1 with it, ahead of that error.
 
 impossibility_sweep encodes the excluded configurations as exact linear
 systems with integer coefficients, one triangular block per unknown
@@ -79,16 +79,8 @@ def delta_balance_check(a, b, p: int, q: int) -> Poly:
 
 def _affine_parts(e: WeylElement):
     """Coefficients (y, x, const) of an element of total degree <= 1."""
-    a = b = lam = Fraction(0)
-    for i, f in e.components():
-        value = f.constant_value()
-        if i == -1:
-            a = value
-        elif i == 1:
-            b = value
-        else:
-            lam = value
-    return a, b, lam
+    parts = (e.coefficient(i) for i in (-1, 1, 0))
+    return tuple(Fraction(0) if f is None else f.constant_value() for f in parts)
 
 
 def _internal(msg):
@@ -113,7 +105,7 @@ def _reduce(P: WeylElement, Q: WeylElement) -> AutoWord:
         Q = Q - const_q
     if mass(Q) != 1 and mass(P) == 1:
         # swap through [P, Q] = [-Q, P]: certify (-Q, P), precompose xi^-1
-        gens += (Torus(Fraction(-1)), Xi())
+        gens += Xi().inverse_word()
         P, Q = -Q, P
     if mass(Q) == 1:
         ((q, g),) = Q.components()
@@ -168,27 +160,28 @@ def certify_pair(P: WeylElement, Q: WeylElement) -> AutoWord:
     YX - XY = 1, so [P, Q] = tau([Y, X]) = 1.  A certified pair therefore
     never computes its commutator; a refused one does, to name it.
 
-    Raises DomainError when [P, Q] != 1, ahead of any other refusal, and
-    OutOfScopeError when the masses fall outside the certified hypotheses.
+    When the guarded scope test, reduction or final check fails, a pair with
+    [P, Q] != 1 raises DomainError naming its commutator, in the context of
+    the step's error; a commuting pair raises that error: OutOfScopeError
+    when the masses fall outside the certified hypotheses.
     """
     if not (isinstance(P, WeylElement) and isinstance(Q, WeylElement)):
         # the commutator refuses operands that are not elements before mass reads them
         _refuse_noncommuting(P, Q)
-    mp, mq = mass(P), mass(Q)
-    if not ((mp <= 2 and mq <= 2) or mp == 1 or mq == 1):
-        _refuse_noncommuting(P, Q)
-        raise OutOfScopeError(
-            f"masses ({mp}, {mq}) are outside the certified range: "
-            "need both <= 2 or one equal to 1"
-        )
     try:
+        mp, mq = mass(P), mass(Q)
+        if not ((mp <= 2 and mq <= 2) or mp == 1 or mq == 1):
+            raise OutOfScopeError(
+                f"masses ({mp}, {mq}) are outside the certified range: "
+                "need both <= 2 or one equal to 1"
+            )
         word = _reduce(P, Q)
-    except (DomainError, RuntimeError):
+        if auto_images(word) != (Q, P):
+            raise _internal("certificate failed the final application check")
+    except (ValueError, RuntimeError):
+        # OutOfScopeError and DomainError are ValueErrors, _internal a RuntimeError
         _refuse_noncommuting(P, Q)
         raise
-    if auto_images(word) != (Q, P):
-        _refuse_noncommuting(P, Q)
-        raise _internal("certificate failed the final application check")
     return word
 
 

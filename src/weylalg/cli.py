@@ -130,7 +130,6 @@ def _cmd_apply(args):
 # name: (handler, its arguments in help order, whether its positionals are
 # expressions, which may start with '-'); a bare string is a positional
 _JSON = ("--json", {"action": "store_true", "help": "canonical JSON output"})
-_BARE_JSON = ("--json", {"action": "store_true"})  # sweep, random-auto, apply: no help text
 _COMMANDS = {
     "normalize": (_cmd_normalize, ("expr", _JSON), True),
     "commute": (_cmd_commute, ("left", "right", _JSON), True),
@@ -144,16 +143,16 @@ _COMMANDS = {
         ("--p", {"type": int, "default": 3}),
         ("--q", {"type": int, "default": 3}),
         ("--max-coeff-deg", {"type": int, "default": 2}),
-        _BARE_JSON,
+        _JSON,
     ), False),
     "random-auto": (_cmd_random_auto, (
         ("--seed", {"type": int, "required": True}),
         ("--word-len", {"type": int, "default": 4}),
         ("--max-n", {"type": int, "default": 3}),
         ("--coeff-height", {"type": int, "default": 5}),
-        _BARE_JSON,
+        _JSON,
     ), False),
-    "apply": (_cmd_apply, ("word_file", "expr", _BARE_JSON), True),
+    "apply": (_cmd_apply, ("word_file", "expr", _JSON), True),
 }
 
 

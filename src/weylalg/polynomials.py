@@ -64,10 +64,14 @@ def rat_format(c: Fraction) -> str:
 def rat_from_json(value, what: str) -> Fraction:
     """The rational a JSON string like "3/2" holds; anything else raises DomainError."""
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
+        # only rat_to_str's form, '-'? digits ('/' digits)?, each part read by int()
+        # within the digit limit: Fraction("1e10000000") would compute 10**10000000
+        num, slash, den = value.partition("/")
+        if num[num.startswith("-"):].isdecimal() and (den.isdecimal() or not slash):
+            try:
+                return Fraction(int(num), int(den) if slash else 1)
+            except (ValueError, ZeroDivisionError):  # past the digit limit, or a zero denominator
+                pass
     raise DomainError(f'{what} must be a rational like "3/2", got {value!r}')
 
 

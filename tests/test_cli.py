@@ -123,10 +123,21 @@ class TestApplyCommand:
             ('{"word": [{"n": 1, "lambda": "1/1"}]}', "no known generator kind"),
             ('{"word": [{"gen": "PhiX", "lambda": "1/1"}]}', "no 'n' field"),
             ('{"word": [{"gen": "PhiX", "n": "2", "lambda": "1/1"}]}', "must be an integer"),
+            # a bool is an int subclass, and JSON true is not an integer
+            ('{"word": [{"gen": "PhiX", "n": true, "lambda": "1/1"}]}', "must be an integer"),
             ('{"word": [{"gen": "Translate", "c": "1/1"}]}', "no 'd' field"),
             ('{"word": [{"gen": "Torus", "mu": "1/0"}]}', "must be a rational"),
             ('{"word": [{"gen": "Torus", "mu": "two"}]}', "must be a rational"),
             ('{"word": [{"gen": "PhiY", "n": 1, "lambda": 0.5}]}', "must be a rational"),
+            # a JSON integer in a rational field is not read as an integer field is
+            ('{"word": [{"gen": "Torus", "mu": 5}]}', "must be a rational"),
+            # only rat_to_str's form is read: no exponent, point, space or underscore
+            ('{"word": [{"gen": "Torus", "mu": "1e5"}]}', "must be a rational"),
+            ('{"word": [{"gen": "Torus", "mu": "1.5"}]}', "must be a rational"),
+            ('{"word": [{"gen": "Torus", "mu": " 1/2"}]}', "must be a rational"),
+            ('{"word": [{"gen": "Torus", "mu": "1_000"}]}', "must be a rational"),
+            # Fraction would compute 10**10000000 before any digit limit applies
+            ('{"word": [{"gen": "Torus", "mu": "1e10000000"}]}', "must be a rational"),
             ('{"word": [', "not a JSON word"),
         ],
     )
@@ -225,6 +236,11 @@ class TestDeterminism:
         assert first == second
         third = run_cli(capsys, "random-auto", "--seed", "8", "--json")
         assert third != first
+
+    def test_random_auto_word_len_cap_exit_3(self, capsys):
+        assert run_cli(capsys, "random-auto", "--seed", "1", "--word-len", "100000000", "--json") == (
+            3, "", "error: word_len = 100000000 exceeds the cap 1000\n"
+        )
 
     def test_sweep_bytes_stable(self, capsys):
         args = ("sweep", "case-ii", "--p", "2", "--q", "2", "--max-coeff-deg", "2", "--json")

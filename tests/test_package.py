@@ -30,6 +30,7 @@ from weylalg import (
     monic_split,
     parser,
     power_decompose,
+    random_tame,
     rat_deg,
     shift_orbit_partition,
     sigma_pow,
@@ -194,6 +195,7 @@ REJECTED = [
     ("HomogeneousElement * object", lambda: U * ALIEN, TypeError),
     ("HomogeneousElement ** 0", lambda: U ** 0, ValueError),
     ("AutoWord + object", lambda: AutoWord() + ALIEN, TypeError),
+    ("random_tame with word_len over the cap", lambda: random_tame(1, word_len=1001), DomainError),
     ("factor_poly of str", lambda: factor_poly("x"), TypeError),
     ("factor_ratfunc of Poly", lambda: factor_ratfunc(Hp), TypeError),
     ("shift_orbit_partition with s = 0", lambda: shift_orbit_partition(FactoredPoly(1, ((Hp, 1),)), 0), DomainError),

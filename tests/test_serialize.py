@@ -124,6 +124,10 @@ class TestMalformedJson:
             (Poly, '{"poly": [[0, 2]]}', "must be a rational"),
             (Poly, '{"poly": [[0, "1/0"]]}', "must be a rational"),
             (Poly, '{"poly": [[0, "half"]]}', "must be a rational"),
+            (Poly, '{"poly": [[0, "1e5"]]}', "must be a rational"),
+            (Poly, '{"poly": [[0, "1.5"]]}', "must be a rational"),
+            (Poly, '{"poly": [[0, " 1/2"]]}', "must be a rational"),
+            (Poly, '{"poly": [[0, "1_000"]]}', "must be a rational"),
             (RatFunc, '{"ratfunc": {}}', '"num" list'),
             (RatFunc, '{"ratfunc": [[0, "1/1"]]}', '"ratfunc" object'),
             (RatFunc, '{"ratfunc": {"num": [[0, "1/1"]]}}', '"den" list'),
