@@ -45,9 +45,8 @@ from functools import reduce
 
 from .errors import ParseError
 from .polynomials import Poly, _poly, poly_sum
-from .weyl import X, Y, WeylElement
+from .weyl import MAX_EXPONENT, X, Y, WeylElement
 
-MAX_EXPONENT = 10_000
 # deepest parenthesis nesting accepted; parsing and evaluation recurse on it
 MAX_NESTING = 100
 

@@ -18,6 +18,15 @@ for ``H``; it and ``compose_affine`` are integer Taylor shifts.
 
 Rational functions are kept in a canonical form: numerator and denominator
 coprime, denominator monic.
+
+A rational scalar meets a coefficient in one place per ring, on the stored
+integers and with no Fraction built: ``_scaled(num, den)`` multiplies by
+num/den and ``_plus(num, den)`` adds it.  A Poly multiple divides out two
+gcds with the scalar's parts and none over its coefficients; a Poly sum
+changes only the constant term but keeps its one gcd, as the content may
+change.  A RatFunc scales or shifts only its numerator, which stays prime
+to the denominator.  Poly's operators route int and Fraction operands
+there.
 """
 
 from __future__ import annotations
@@ -390,9 +399,9 @@ class Poly:
 
     def __add__(self, other):
         if type(other) is not Poly:
-            other = Poly._coerce(other)
-            if other is None:
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
+            return self._plus(other.numerator, other.denominator)
         a, b = self._den, other._den
         if a == b:
             return _poly(_add(self._c, other._c), a)
@@ -408,19 +417,58 @@ class Poly:
 
     def __sub__(self, other):
         if type(other) is not Poly:
-            other = Poly._coerce(other)
-            if other is None:
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
+            return self._plus(-other.numerator, other.denominator)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, num: int, den: int) -> "Poly":
+        """self * (num/den) for coprime integers num and den != 0, on the stored integers.
+
+        The sign of den is moved to num first.  For canonical C/d and
+        reduced num/den, gcd(num content(C), d den) = gcd(num, d) gcd(content(C), den),
+        since num is prime to den and content(C) to d; so dividing num and d
+        by g1 = gcd(num, d), and C and den by g2 = gcd(den, *C), leaves the
+        product canonical with no gcd over its coefficients.
+        """
+        if not num or not self._c:
+            return _ZERO
+        if den < 0:
+            num, den = -num, -den
+        d = self._den
+        g1 = gcd(num, d) if d != 1 else 1
+        g2 = gcd(den, *self._c) if den != 1 else 1
+        if g1 != 1:
+            num //= g1
+            d //= g1
+        coeffs = self._c if g2 == 1 else [a // g2 for a in self._c]
+        if num != 1:
+            coeffs = [num * a for a in coeffs]
+        return _stored(tuple(coeffs), d * (den // g2))
+
+    def _plus(self, num: int, den: int) -> "Poly":
+        """self + num/den for coprime integers num and den > 0: only the
+        constant term moves, but it may change the content, so the sum keeps
+        its one gcd."""
+        if not num:
+            return self
+        d = self._den
+        g = gcd(d, den)
+        coeffs = list(self._c) if den == g else [a * (den // g) for a in self._c]
+        if coeffs:
+            coeffs[0] += num * (d // g)
+        else:
+            coeffs.append(num)
+        return _poly(coeffs, d // g * den)
+
     def __mul__(self, other):
         if type(other) is not Poly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            return _poly(_mul(self._c, [other.numerator]), self._den * other.denominator)
+            return self._scaled(other.numerator, other.denominator)
         # a polynomial RatFunc's denominator is the shared _ONE, and RatFunc
         # arithmetic multiplies by it
         if other is _ONE:
@@ -657,6 +705,17 @@ class RatFunc:
             return value
         p = Poly._coerce(value)
         return None if p is None else RatFunc(p)
+
+    def _scaled(self, num: int, den: int) -> "RatFunc":
+        """self * (num/den) for coprime nonzero integers num and den: a
+        nonzero scalar keeps the parts coprime, so only the numerator is scaled."""
+        return _ratfunc(self.num._scaled(num, den), self.den)
+
+    def _plus(self, num: int, den: int) -> "RatFunc":
+        """self + num/den for coprime integers num and den > 0: the numerator
+        gains (num/den) times the denominator and stays prime to it (a zero
+        sum leaves a constant denominator, which is monic, so 1)."""
+        return _ratfunc(self.num + self.den._scaled(num, den), self.den)
 
     def __add__(self, other):
         o = self._coerce(other)

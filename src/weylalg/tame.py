@@ -29,7 +29,8 @@ keys (_keys, one per constructor argument, in order).  The private base
 _Generator derives images(), to_json() and the JSON reader from these,
 writing and reading each key by the declared type of its field: an int as
 a JSON integer, a Fraction as a string like "3/2".  PhiX and PhiY share
-_Triangular, which validates n, builds the inverse, and declares their
+_Triangular, which validates n (1 <= n <= MAX_EXPONENT, the text grammar's
+cap on exponents), builds the inverse, and declares their
 keys "n" and "lambda".  A word's JSON entry names its generator's class in
 the "gen" key.
 """
@@ -42,7 +43,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .polynomials import Poly, _as_fraction, _json_list, rat_format, rat_from_json, rat_to_str
-from .weyl import WeylElement, X, Y
+from .weyl import MAX_EXPONENT, WeylElement, X, Y
 
 
 def _signed(scalar, body=""):
@@ -99,6 +100,8 @@ class _Triangular(_Generator):
             raise DomainError(f"{name} requires an integer n, got {self.n!r}")
         if self.n < 1:
             raise DomainError(f"{name} requires n >= 1")
+        if self.n > MAX_EXPONENT:
+            raise DomainError(f"{name} requires n <= {MAX_EXPONENT}, got {self.n}")
         object.__setattr__(self, "lam", _as_fraction(self.lam))
 
     def inverse_word(self):
@@ -147,7 +150,7 @@ class Torus(_Generator):
         return p * self.mu
 
     def _y(self, p, q):
-        return q * (1 / self.mu)
+        return q._scaled(self.mu.denominator, self.mu.numerator)
 
     def inverse_word(self):
         return (Torus(1 / self.mu),)
@@ -265,9 +268,9 @@ def _evaluate(a: WeylElement, image_x, image_y) -> WeylElement:
         # each degree occurs once, so each power of an image is taken once
         power = image_x**i if i > 0 else image_y**-i if i < 0 else None
         if not f.degree:
-            # a scalar coefficient multiplies each component of the image;
-            # a constant needs no image
-            result = result + (power * f.lc if power is not None else WeylElement({0: f}))
+            # a scalar coefficient scales each component of the image by its
+            # stored integers, num/den in lowest terms; a constant needs no image
+            result = result + (power._scaled(f._c[0], f._den) if power is not None else WeylElement({0: f}))
             continue
         if h_image is None:
             h_image = image_y * image_x
@@ -324,6 +327,8 @@ def random_tame(seed: int, word_len: int = 4, max_n: int = 3, coeff_height: int 
         raise DomainError("random_tame limits must be positive")
     if word_len > _WORD_LEN_CAP:
         raise DomainError(f"word_len = {word_len} exceeds the cap {_WORD_LEN_CAP}")
+    if max_n > MAX_EXPONENT:
+        raise DomainError(f"max_n = {max_n} exceeds the cap {MAX_EXPONENT}")
     rng = _random.Random(seed)
 
     def rat(nonzero=False):

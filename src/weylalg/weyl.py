@@ -19,7 +19,10 @@ canonical form: Poly sums the integer products over one common
 denominator, and RatFunc adds its products with its own operators.  Sums,
 negations and scalar multiples build their results directly from
 components already nonzero and of the element's ring; only the public
-constructor coerces and re-adds what it is given.
+constructor coerces and re-adds what it is given.  An int or Fraction is
+read as its numerator and denominator once: a multiple scales each
+component through the ring's _scaled, and a sum changes component 0 alone
+through the ring's _plus, so neither promotes the scalar to an element.
 
 HomogeneousElement is the X-power presentation coeff * X**degree used by
 the centralizer machinery; for negative degrees it differs from the v-basis
@@ -45,6 +48,10 @@ from .polynomials import (
     rising_product,
     sigma_pow,
 )
+
+
+# the largest power the text grammar and the generators PhiX and PhiY accept
+MAX_EXPONENT = 10_000
 
 
 @lru_cache(maxsize=4096)
@@ -145,7 +152,32 @@ class GradedElement:
             return a, b
         return a.to_b(), b.to_b()
 
+    def _scaled(self, num: int, den: int):
+        """self * (num/den) for coprime integers num and den != 0: a central
+        scalar scales each component on its stored integers."""
+        if not num:
+            return self._canonical({})
+        if num == den:
+            return self
+        return self._canonical({i: c._scaled(num, den) for i, c in self._comp.items()})
+
+    def _plus(self, num: int, den: int):
+        """self + num/den for coprime integers num and den > 0: only the
+        degree-0 component changes."""
+        if not num:
+            return self
+        comp = dict(self._comp)
+        c = comp.get(0)
+        c = (self._coefficient(0) if c is None else c)._plus(num, den)
+        if c:
+            comp[0] = c
+        else:
+            del comp[0]
+        return self._canonical(comp)
+
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._plus(other.numerator, other.denominator)
         o = self._promote(other)
         if o is None:
             return NotImplemented
@@ -173,6 +205,8 @@ class GradedElement:
         return self._canonical({i: -c for i, c in self._comp.items()})
 
     def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._plus(-other.numerator, other.denominator)
         o = self._promote(other)
         if o is None:
             return NotImplemented
@@ -186,11 +220,7 @@ class GradedElement:
             if isinstance(other, (int, Fraction)):
                 # central scalars act componentwise; H-coefficients must pass
                 # through the shift, so they take the general product below
-                if not other:
-                    return self._canonical({})
-                if other == 1:
-                    return self
-                return self._canonical({i: c * other for i, c in self._comp.items()})
+                return self._scaled(other.numerator, other.denominator)
             other = self._promote(other)
             if other is None:
                 return NotImplemented
@@ -214,7 +244,9 @@ class GradedElement:
         return a._canonical(comp)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other.numerator, other.denominator)
+        if isinstance(other, Poly):
             # a degree-0 factor on the left needs no shift:
             # f * sum g_j v_j = sum (f g_j) v_j
             if not other:

@@ -1,6 +1,8 @@
-"""Shared random generators for the test suite (all seeded, deterministic)."""
+"""Shared random generators for the test suite (all seeded, deterministic),
+and the check of a coefficient's stored canonical form."""
 
 from fractions import Fraction
+from math import gcd
 
 from weylalg import Poly, RatFunc, WeylElement
 
@@ -47,3 +49,19 @@ def random_weyl_nonzero(rng, **kwargs):
         a = random_weyl(rng, **kwargs)
         if not a.is_zero():
             return a
+
+
+def assert_canonical_coefficient(c):
+    """A Poly's stored C / d, or each part of a RatFunc, is canonical:
+    no trailing zero, d > 0 and gcd(content(C), d) = 1; a RatFunc's parts
+    are coprime with a monic denominator, which is 1 for zero."""
+    if isinstance(c, RatFunc):
+        assert_canonical_coefficient(c.num)
+        assert_canonical_coefficient(c.den)
+        assert c.den.is_monic()
+        assert RatFunc(c.num, c.den).den == c.den
+        return
+    coeffs, den = c._c, c._den
+    assert type(coeffs) is tuple and all(type(a) is int for a in coeffs)
+    assert den > 0 and (not coeffs or coeffs[-1])
+    assert gcd(den, *coeffs) == 1

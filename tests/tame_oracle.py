@@ -7,9 +7,13 @@ scales each graded component and xi goes through
 :func:`weylalg.weyl.xi_apply`.  The images are written out here rather than
 read from the generators, so tests use it as an independent oracle for
 :func:`weylalg.tame.apply_auto` and :func:`weylalg.tame.auto_images`,
-which compose the word's images right to left and substitute once.
+which compose the word's images right to left and substitute once.  A
+scalar enters only as a degree-0 element or a constant Poly, so the
+oracle adds and multiplies elements and polynomials, never an element or
+a polynomial and a bare rational: those paths are the library's own.
 """
 
+from weylalg.polynomials import Poly
 from weylalg.tame import PhiX, PhiY, Torus, Translate, Xi
 from weylalg.weyl import WeylElement, X, Y, xi_apply
 
@@ -36,7 +40,7 @@ def _evaluate(a, image_x, image_y):
             else:
                 for _ in range(last - e):
                     acc = acc * h_image
-                acc = acc + c
+                acc = acc + WeylElement({0: c})
             last = e
         if last is not None and last > 0:
             for _ in range(last):
@@ -52,13 +56,13 @@ def _images(gen):
     if isinstance(gen, PhiY):
         return X + WeylElement({-gen.n: gen.lam}), Y
     if isinstance(gen, Translate):
-        return X + gen.c, Y + gen.d
+        return X + WeylElement({0: gen.c}), Y + WeylElement({0: gen.d})
     raise TypeError(f"no substitution images for {gen!r}")
 
 
 def _apply_gen(gen, a):
     if isinstance(gen, Torus):
-        return WeylElement({i: f * gen.mu**i for i, f in a.components()})
+        return WeylElement({i: f * Poly.constant(gen.mu**i) for i, f in a.components()})
     if isinstance(gen, Xi):
         return xi_apply(a)
     return _evaluate(a, *_images(gen))

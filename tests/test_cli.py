@@ -4,6 +4,7 @@ import io
 import json
 import re
 import sys
+import time
 from math import isqrt, prod
 from pathlib import Path
 
@@ -147,6 +148,22 @@ class TestApplyCommand:
         code, out, err = run_cli(capsys, "apply", str(word_file), "Y")
         assert (code, out) == (3, "")
         assert message in err
+
+    def test_exponent_over_the_cap_exit_3(self, capsys, tmp_path):
+        # applying PhiY(20000, 1) to X would build a degree-20000 image
+        n = MAX_EXPONENT + 1
+        word_file = tmp_path / "word.json"
+        word_file.write_text(json.dumps({"word": [
+            {"gen": "PhiY", "n": 2 * MAX_EXPONENT, "lambda": "1/1"},
+            {"gen": "PhiX", "n": 1, "lambda": "1/1"},
+        ]}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "apply", str(word_file), "X")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (3, "", f"error: PhiY requires n <= {MAX_EXPONENT}, got {2 * MAX_EXPONENT}\n")
+        assert run_cli(capsys, "random-auto", "--seed", "1", "--max-n", str(n), "--json") == (
+            3, "", f"error: max_n = {n} exceeds the cap {MAX_EXPONENT}\n"
+        )
 
     def test_missing_word_file_exit_3(self, capsys, tmp_path):
         missing = tmp_path / "missing.json"

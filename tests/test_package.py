@@ -37,6 +37,7 @@ from weylalg import (
     solve_twisted_root,
     twisted_product,
 )
+from weylalg.weyl import MAX_EXPONENT
 
 ROOT = Path(__file__).resolve().parent.parent
 SUBMODULES = ("centralizer", "certify", "errors", "factor", "parser", "polynomials", "tame", "weyl")
@@ -196,6 +197,7 @@ REJECTED = [
     ("HomogeneousElement ** 0", lambda: U ** 0, ValueError),
     ("AutoWord + object", lambda: AutoWord() + ALIEN, TypeError),
     ("random_tame with word_len over the cap", lambda: random_tame(1, word_len=1001), DomainError),
+    ("random_tame with max_n over the cap", lambda: random_tame(1, max_n=MAX_EXPONENT + 1), DomainError),
     ("factor_poly of str", lambda: factor_poly("x"), TypeError),
     ("factor_ratfunc of Poly", lambda: factor_ratfunc(Hp), TypeError),
     ("shift_orbit_partition with s = 0", lambda: shift_orbit_partition(FactoredPoly(1, ((Hp, 1),)), 0), DomainError),

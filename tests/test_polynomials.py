@@ -21,7 +21,7 @@ from weylalg.polynomials import (
     poly_gcd,
     poly_sum,
 )
-from helpers import random_poly, random_ratfunc
+from helpers import assert_canonical_coefficient, random_poly, random_ratfunc
 
 H = Poly.gen()
 
@@ -178,6 +178,50 @@ class TestKernelProperties:
         g = Poly(f.terms)
         assert g == f and hash(g) == hash(f)
         assert Poly(reversed(f.terms + f.terms)) == 2 * f
+
+
+BIG = 10**100
+big_rationals = st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG))
+# int and Fraction scalars: 0, 1, -1, small rationals and 100-digit values
+rational_scalars = st.one_of(
+    st.sampled_from([0, 1, -1, F(0), F(1), F(-1)]),
+    st.integers(-BIG, BIG),
+    rationals,
+    big_rationals,
+)
+mixed_lists = st.lists(st.one_of(rationals, big_rationals), max_size=6)
+
+
+class TestScalarOperands:
+    """A rational scales or shifts the stored integers; each result equals
+    the product or sum with the constant polynomial or rational function."""
+
+    @given(mixed_lists, rational_scalars)
+    @KERNEL
+    def test_poly(self, cf, c):
+        f, k = Poly(enumerate(cf)), Poly.constant(c)
+        for got, want in ((f * c, f * k), (c * f, k * f), (f + c, f + k), (c + f, k + f),
+                          (f - c, f - k), (c - f, k - f)):
+            assert got == want and got.terms == want.terms
+            assert_canonical_coefficient(got)
+        if c:
+            # the reciprocal, with the sign on the denominator
+            got = f._scaled(c.denominator, c.numerator)
+            assert got == f * Poly.constant(1 / F(c))
+            assert_canonical_coefficient(got)
+
+    @given(short_lists, short_lists.filter(any), rational_scalars)
+    @KERNEL
+    def test_ratfunc(self, cn, cd, c):
+        r, k = RatFunc(Poly(enumerate(cn)), Poly(enumerate(cd))), RatFunc(Poly.constant(c))
+        num, den = c.numerator, c.denominator
+        pairs = [(r._plus(num, den), r + k), (r._plus(-num, den), r - k)]
+        if c:
+            # a zero scalar never reaches _scaled: an element scaled by 0 is 0
+            pairs += [(r._scaled(num, den), r * k), (r._scaled(den, num), r / k)]
+        for got, want in pairs:
+            assert (got.num, got.den) == (want.num, want.den)
+            assert_canonical_coefficient(got)
 
 
 def fraction_dict_terms(terms):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -17,14 +19,16 @@ from weylalg import (
     affine_decompose,
     apply_auto,
     auto_images,
+    certify_pair,
     commutator,
     invert_auto,
+    mass,
     random_tame,
     total_degree,
     xi_apply,
 )
 import weylalg.tame as tame_module
-from weylalg.weyl import H, ONE, GradedElement, X, Y
+from weylalg.weyl import MAX_EXPONENT, H, ONE, GradedElement, X, Y
 from helpers import random_weyl
 from tame_oracle import apply_sequential
 
@@ -63,6 +67,9 @@ class TestGenerators:
             PhiX(0, F(1))
         with pytest.raises(DomainError, match="PhiY requires n >= 1"):
             PhiY(0, F(1))
+        with pytest.raises(DomainError, match=f"PhiX requires n <= {MAX_EXPONENT}, got {MAX_EXPONENT + 1}"):
+            PhiX(MAX_EXPONENT + 1, F(1))
+        assert PhiX(MAX_EXPONENT, F(1)).n == MAX_EXPONENT
         with pytest.raises(DomainError):
             Torus(F(0))
 
@@ -190,6 +197,23 @@ class TestRandomTame:
     def test_rejects_bad_limits(self):
         with pytest.raises(DomainError):
             random_tame(1, word_len=0)
+
+    def test_corpus_is_pinned(self):
+        # the criterion-6 corpus: both images of each word, and the certificate
+        # of each pair of masses in scope, as canonical JSON, one line per seed
+        digest = hashlib.sha256()
+        certified = 0
+        for seed in range(1, 3001):
+            w = random_tame(seed, word_len=5, max_n=3, coeff_height=6)
+            P, Q = apply_auto(w, Y), apply_auto(w, X)
+            parts = [P.to_json(), Q.to_json()]
+            mp, mq = mass(P), mass(Q)
+            if (mp <= 2 and mq <= 2) or mp == 1 or mq == 1:
+                parts.append(certify_pair(P, Q).to_json())
+                certified += 1
+            digest.update(json.dumps(parts, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+        assert certified == 1856
+        assert digest.hexdigest() == "c9d222815bc0e53065451fe7d036c71c037e512e6c6cfbafa581e19a5be18590"
 
 
 class TestAffineDecompose:
@@ -339,6 +363,15 @@ class TestAgainstSequentialOracle:
         # whose images have degree 54 takes seconds to apply to a cubic
         assume(max(map(total_degree, images)) * max(total_degree(a), 1) <= 200)
         assert images == (apply_sequential(w, X), apply_sequential(w, Y))
+        assert apply_auto(w, a) == apply_sequential(w, a)
+
+    @given(st.one_of(rationals, st.builds(F, st.integers(-10**100, 10**100), st.integers(1, 10**100)))
+           .filter(lambda mu: mu < 0), elements)
+    @settings(deadline=None)
+    def test_torus_with_a_negative_scalar(self, mu, a):
+        # the image of Y scales by 1/mu, whose sign starts on the denominator
+        w = word(Torus(mu))
+        assert auto_images(w) == (apply_sequential(w, X), apply_sequential(w, Y))
         assert apply_auto(w, a) == apply_sequential(w, a)
 
     @given(generators)

@@ -27,7 +27,7 @@ from weylalg import (
     xi_inverse_apply,
 )
 from weylalg.weyl import H, ONE, X, Y, ZERO
-from helpers import random_poly, random_weyl, random_weyl_nonzero
+from helpers import assert_canonical_coefficient, random_poly, random_weyl, random_weyl_nonzero
 from rewrite_oracle import rewrite_normalize_text
 
 Hp = Poly.gen()
@@ -423,6 +423,34 @@ class TestCanonicalResults:
         assert a.to_b() * b.to_b() == (a * b).to_b()
 
 
+BIG = 10**100
+# int and Fraction scalars: 0, 1, -1, small rationals and 100-digit values
+rational_scalars = st.one_of(
+    st.sampled_from([0, 1, -1, F(0), F(1), F(-1)]),
+    st.integers(-BIG, BIG),
+    small_rats,
+    st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+
+
+class TestRationalScalars:
+    """A rational scales each component, or shifts component 0, on the
+    stored integers; each result equals the product or sum with the
+    degree-0 element, which takes the graded product and sum."""
+
+    @given(elements, rational_scalars)
+    @settings(max_examples=150, deadline=None)
+    def test_against_the_degree_zero_element(self, a, c):
+        k = type(a)({0: c})
+        for got, want in ((a * c, a * k), (c * a, k * a), (a + c, a + k), (c + a, k + a),
+                          (a - c, a - k), (c - a, k - a)):
+            assert type(got) is type(a) and got == want
+            assert got.components() == want.components()
+            for _, coeff in got.components():
+                assert coeff and type(coeff) is a._ring
+                assert_canonical_coefficient(coeff)
+
+
 class TestScalarOperands:
     """The results of scalar operands on either side, as pinned here."""
 
@@ -442,6 +470,9 @@ class TestScalarOperands:
             for r in (k * a.to_b(), a.to_b() * k):
                 assert r == expected.to_b() and type(r) is BElement
         assert a + 3 == 3 + a == WeylElement({1: 1, -1: Hp, 0: 1})
+        # a sum that cancels component 0 drops it
+        assert (a + 2).components() == (X + Hp * Y).components()
+        assert (a.to_b() + F(2)).components() == (X + Hp * Y).to_b().components()
         assert a - 3 == WeylElement({1: 1, -1: Hp, 0: -5})
         assert 3 - a == WeylElement({1: -1, -1: -Hp, 0: 5})
         assert True + a == a + 1 and type(True + a) is WeylElement
