@@ -27,7 +27,7 @@ from functools import cache
 
 from .errors import DomainError, TwistedRootInfeasible
 from .factor import FactoredPoly, _poly_key, factor_ratfunc
-from .polynomials import Poly, RatFunc, sigma_pow
+from .polynomials import Poly, RatFunc, _json_fields, sigma_pow
 from .weyl import HomogeneousElement
 
 
@@ -103,16 +103,7 @@ class InfeasibilityCertificate:
     position: int | None = None
     residue: int | None = None
 
-    def to_json(self):
-        body = {"divisor": self.divisor, "kind": self.kind}
-        if self.forced_degree is not None:
-            body["forced_degree"] = list(self.forced_degree)
-        if self.orbit_rep is not None:
-            body["orbit_rep"] = self.orbit_rep.to_json()
-        if self.position is not None:
-            body["position"] = self.position
-            body["residue"] = self.residue
-        return body
+    to_json = _json_fields
 
     def __str__(self):
         if self.kind == "degree":
@@ -206,13 +197,7 @@ class CentralizerResult:
     beta: RatFunc
     infeasible_divisors: tuple[InfeasibilityCertificate, ...]
 
-    def to_json(self):
-        return {
-            "s": self.s,
-            "beta": self.beta.to_json(),
-            "v": self.v.to_json(),
-            "infeasible_divisors": [c.to_json() for c in self.infeasible_divisors],
-        }
+    to_json = _json_fields
 
 
 def positive_divisors(n: int) -> list[int]:
@@ -226,6 +211,8 @@ def centralizer_generator(u: HomogeneousElement) -> CentralizerResult:
     Scans the proper divisors of |n| in increasing order; when none admits
     a root, s = |n| does, with k = 1 and beta = alpha.
     """
+    if not isinstance(u, HomogeneousElement):
+        raise TypeError(f"centralizer_generator expects a HomogeneousElement, got {type(u).__name__}")
     n = u.degree
     if n == 0:
         raise DomainError("degree-zero elements have centralizer Q(H); use centralizer_rational")

@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import DomainError, OutOfScopeError
-from .polynomials import Poly, _poly, delta_op, rat_to_str
+from .polynomials import Poly, _json_fields, _poly, delta_op, rat_to_str
 from .tame import AutoWord, PhiX, Torus, Translate, Xi, _affine_word, auto_images
 from .weyl import (
     ONE,
@@ -219,19 +219,7 @@ class SweepCell:
     detail: str
     witness: dict | None = None
 
-    def to_json(self):
-        body = {
-            "pattern": self.pattern,
-            "p": self.p,
-            "q": self.q,
-            "deg_a": self.deg_a,
-            "deg_b": self.deg_b,
-            "status": self.status,
-            "detail": self.detail,
-        }
-        if self.witness is not None:
-            body["witness"] = self.witness
-        return body
+    to_json = _json_fields
 
 
 @dataclass(frozen=True)
@@ -240,12 +228,7 @@ class SweepReport:
     bounds: dict
     cells: tuple
 
-    def to_json(self):
-        return {
-            "pattern": self.pattern,
-            "bounds": dict(self.bounds),
-            "cells": [c.to_json() for c in self.cells],
-        }
+    to_json = _json_fields
 
     def empty_cells(self):
         return [c for c in self.cells if c.status == "empty"]

@@ -27,11 +27,15 @@ changes only the constant term but keeps its one gcd, as the content may
 change.  A RatFunc scales or shifts only its numerator, which stays prime
 to the denominator.  Poly's operators route int and Fraction operands
 there.
+
+One JSON writer serves the result dataclasses and the tame generators:
+_json_fields writes a dataclass by its declared fields.
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -98,6 +102,32 @@ def _json_pairs(items: list, what: str) -> list:
         if not (isinstance(item, list) and len(item) == 2 and type(item[0]) is int):
             raise DomainError(f"{what} entry {item!r} is not an [integer, value] pair")
     return items
+
+
+def _json_fields(obj, keys=None) -> dict:
+    """A dataclass as a JSON object, each field under its name or its entry
+    in keys; a field whose declared default is None is left out while None."""
+    declared = fields(obj)
+    body = {}
+    for key, f in zip(keys or [f.name for f in declared], declared):
+        value = getattr(obj, f.name)
+        if value is not None or f.default is not None:
+            body[key] = _json_value(value)
+    return body
+
+
+def _json_value(value):
+    """value as JSON: by its own to_json, a Fraction as "num/den", a tuple
+    as a list of its items, a dict as a copy, anything else as it is."""
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, Fraction):
+        return rat_to_str(value)
+    if isinstance(value, tuple):
+        return [_json_value(item) for item in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value
 
 
 def _power(base, n: int):
@@ -469,12 +499,6 @@ class Poly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             return self._scaled(other.numerator, other.denominator)
-        # a polynomial RatFunc's denominator is the shared _ONE, and RatFunc
-        # arithmetic multiplies by it
-        if other is _ONE:
-            return self
-        if self is _ONE:
-            return other
         return _poly(_mul(self._c, other._c), self._den * other._den)
 
     __rmul__ = __mul__

@@ -26,13 +26,13 @@ its formulas _x(p, q) and _y(p, q), its images of X and Y evaluated at the
 pair (p, q), with _x_reads and _y_reads naming the images each one reads;
 its inverse as a word (inverse_word); its text form (_text); and its JSON
 keys (_keys, one per constructor argument, in order).  The private base
-_Generator derives images(), to_json() and the JSON reader from these,
-writing and reading each key by the declared type of its field: an int as
-a JSON integer, a Fraction as a string like "3/2".  PhiX and PhiY share
-_Triangular, which validates n (1 <= n <= MAX_EXPONENT, the text grammar's
-cap on exponents), builds the inverse, and declares their
-keys "n" and "lambda".  A word's JSON entry names its generator's class in
-the "gen" key.
+_Generator derives images(), to_json() and the JSON reader from these: the
+shared writer _json_fields writes each key, an int as a JSON integer and a
+Fraction as a string like "3/2", and the reader reads each key by the
+declared type of its field.  PhiX and PhiY share _Triangular, which
+validates n (1 <= n <= MAX_EXPONENT, the text grammar's cap on exponents),
+builds the inverse, and declares their keys "n" and "lambda".  A word's
+JSON entry names its generator's class in the "gen" key.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import DomainError
-from .polynomials import Poly, _as_fraction, _json_list, rat_format, rat_from_json, rat_to_str
+from .polynomials import Poly, _as_fraction, _json_fields, _json_list, rat_format, rat_from_json
 from .weyl import MAX_EXPONENT, WeylElement, X, Y
 
 
@@ -59,7 +59,7 @@ _P, _Q = 1, 2
 class _Generator:
     """images(), to_json() and the JSON reader, derived from the _x, _y and
     _keys of the subclass; _keys names the constructor arguments in JSON, in
-    order, and each is written and read by its field's declared type.
+    order, each written by _json_fields and read by its field's declared type.
     _x_reads and _y_reads say which of p and q the formulas _x and _y read."""
 
     _keys = ()
@@ -68,8 +68,7 @@ class _Generator:
         return self._x(X, Y), self._y(X, Y)
 
     def to_json(self):
-        values = ((k, f.type, getattr(self, f.name)) for k, f in zip(self._keys, fields(self)))
-        return {"gen": type(self).__name__, **{k: v if t == "int" else rat_to_str(v) for k, t, v in values}}
+        return {"gen": type(self).__name__, **_json_fields(self, self._keys)}
 
     @classmethod
     def _from_json(cls, item):
@@ -301,6 +300,8 @@ def _images(word: AutoWord, need: int):
     The first pass, front to back, turns what the last composition step must
     produce into what each earlier step must produce; the second composes
     right to left and computes only those images."""
+    if not isinstance(word, AutoWord):
+        raise TypeError(f"a word must be an AutoWord, got {type(word).__name__}")
     needs = []
     for gen in word.gens:
         needs.append(need)
@@ -312,6 +313,8 @@ def _images(word: AutoWord, need: int):
 
 
 def invert_auto(word: AutoWord) -> AutoWord:
+    if not isinstance(word, AutoWord):
+        raise TypeError(f"a word must be an AutoWord, got {type(word).__name__}")
     gens = []
     for gen in reversed(word.gens):
         gens.extend(gen.inverse_word())

@@ -40,6 +40,7 @@ from .polynomials import (
     NEG_INF,
     Poly,
     RatFunc,
+    _json_fields,
     _json_list,
     _json_pairs,
     _power,
@@ -176,12 +177,13 @@ class GradedElement:
         return self._canonical(comp)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._plus(other.numerator, other.denominator)
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        a, b = self._join(self, o)
+        if not isinstance(other, GradedElement):
+            if isinstance(other, (int, Fraction)):
+                return self._plus(other.numerator, other.denominator)
+            other = self._promote(other)
+            if other is None:
+                return NotImplemented
+        a, b = self._join(self, other)
         if not a._comp:
             return b
         if not b._comp:
@@ -205,12 +207,11 @@ class GradedElement:
         return self._canonical({i: -c for i, c in self._comp.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._plus(-other.numerator, other.denominator)
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        if not isinstance(other, (GradedElement, int, Fraction)):
+            other = self._promote(other)
+            if other is None:
+                return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -229,7 +230,7 @@ class GradedElement:
         terms = {}
         for i, f in a._comp.items():
             for j, g in b._comp.items():
-                term = (f, g.sigma(i) if i else g, structure_constant(i, j))
+                term = (f, g.sigma(i), structure_constant(i, j))
                 k = i + j
                 if k in terms:
                     terms[k].append(term)
@@ -455,8 +456,7 @@ class HomogeneousElement:
             raise DomainError("element is not homogeneous" if a else "the zero element is not homogeneous")
         return HomogeneousElement.from_graded_component(*a.components()[0])
 
-    def to_json(self):
-        return {"degree": self.degree, "coeff": self.coeff.to_json()}
+    to_json = _json_fields
 
     def __str__(self):
         if self.degree == 0:

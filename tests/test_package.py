@@ -24,9 +24,13 @@ from weylalg import (
     Poly,
     RatFunc,
     X,
+    apply_auto,
+    auto_images,
+    centralizer_generator,
     centralizer_rational,
     factor_poly,
     factor_ratfunc,
+    invert_auto,
     monic_split,
     parser,
     power_decompose,
@@ -196,12 +200,16 @@ REJECTED = [
     ("HomogeneousElement * object", lambda: U * ALIEN, TypeError),
     ("HomogeneousElement ** 0", lambda: U ** 0, ValueError),
     ("AutoWord + object", lambda: AutoWord() + ALIEN, TypeError),
+    ("apply_auto of str", lambda: apply_auto("x", X), TypeError),
+    ("auto_images of str", lambda: auto_images("x"), TypeError),
+    ("invert_auto of str", lambda: invert_auto("x"), TypeError),
     ("random_tame with word_len over the cap", lambda: random_tame(1, word_len=1001), DomainError),
     ("random_tame with max_n over the cap", lambda: random_tame(1, max_n=MAX_EXPONENT + 1), DomainError),
     ("factor_poly of str", lambda: factor_poly("x"), TypeError),
     ("factor_ratfunc of Poly", lambda: factor_ratfunc(Hp), TypeError),
     ("shift_orbit_partition with s = 0", lambda: shift_orbit_partition(FactoredPoly(1, ((Hp, 1),)), 0), DomainError),
     ("power_decompose by degree 0", lambda: power_decompose(U, HomogeneousElement(0, RatFunc(Hp))), DomainError),
+    ("centralizer_generator of str", lambda: centralizer_generator("x"), TypeError),
     ("centralizer_rational of Poly", lambda: centralizer_rational(Hp), TypeError),
     ("solve_twisted_root of non-monic", lambda: solve_twisted_root(RatFunc(2 * Hp), 1, 1, "plus"), DomainError),
     ("solve_twisted_root with k = 0", lambda: solve_twisted_root(RatFunc(Hp), 0, 1, "plus"), DomainError),
