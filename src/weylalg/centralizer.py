@@ -31,18 +31,19 @@ from .polynomials import Poly, RatFunc, _json_fields, sigma_pow
 from .weyl import HomogeneousElement
 
 
-def _check_twist(k: int, s: int, direction: str):
+def _check_twist(k: int, s: int, direction: str) -> int:
+    """The sign of the twist's direction: 1 for "plus", -1 for "minus"."""
     if direction not in ("plus", "minus"):
         raise ValueError(f"direction must be 'plus' or 'minus', got {direction!r}")
     if k < 1 or s < 1:
         raise DomainError("twisted root needs positive k and s")
+    return 1 if direction == "plus" else -1
 
 
 def twisted_product(beta, k: int, s: int, direction: str):
     """Product of k copies of beta shifted by 0, s, 2s, ... (plus) or
     0, -s, -2s, ... (minus)."""
-    _check_twist(k, s, direction)
-    step = s if direction == "plus" else -s
+    step = _check_twist(k, s, direction) * s
     result = beta
     for m in range(1, k):
         result = result * sigma_pow(beta, m * step)
@@ -155,7 +156,7 @@ def _twisted_root(alpha: RatFunc, k: int, s: int, direction: str, factored) -> R
     factorization does not depend on s, so a caller trying several divisors
     can hand in one that factors alpha once.
     """
-    _check_twist(k, s, direction)
+    sign = _check_twist(k, s, direction)
     if not alpha.is_monic():
         raise DomainError("twisted root is defined for monic alpha")
     deg = alpha.degree
@@ -163,7 +164,6 @@ def _twisted_root(alpha: RatFunc, k: int, s: int, direction: str, factored) -> R
         raise TwistedRootInfeasible(
             InfeasibilityCertificate(divisor=s, kind="degree", forced_degree=(deg, k))
         )
-    sign = 1 if direction == "plus" else -1
     num = den = Poly.one()
     for orbit in shift_orbit_partition(factored(), s):
         d, failure = _deconvolve({sign * j: e for j, e in orbit.exponents}, k)

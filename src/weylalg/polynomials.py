@@ -649,8 +649,6 @@ _ZERO = _stored((), 1)
 _ONE = _stored((1,), 1)
 _GEN = _stored((0, 1), 1)
 
-H = _GEN
-
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd in Q[H]; gcd(0, 0) = 0.
@@ -910,11 +908,6 @@ def monic_split(h):
         lead = h.num.lc
         return lead, RatFunc(h.num.monic(), h.den)
     raise TypeError(f"monic_split expects Poly or RatFunc, got {type(h).__name__}")
-
-
-def rising_product(m: int) -> Poly:
-    """H (H+1) ... (H+m-1); the unit relating Y^m to X^(-m) in the localization."""
-    return falling_window(0, m)
 
 
 def falling_window(start: int, count: int) -> Poly:

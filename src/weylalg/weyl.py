@@ -26,7 +26,8 @@ through the ring's _plus, so neither promotes the scalar to an element.
 
 HomogeneousElement is the X-power presentation coeff * X**degree used by
 the centralizer machinery; for negative degrees it differs from the v-basis
-by the unit Y^m = H (H+1) ... (H+m-1) X^(-m).
+by the unit Y^m X^m, the structure constant (-m, m) = H (H+1) ... (H+m-1),
+so that Y^m = (-m, m) X^(-m).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .polynomials import (
     _power,
     falling_window,
     monic_split,
-    rising_product,
     sigma_pow,
 )
 
@@ -438,16 +438,15 @@ class HomogeneousElement:
         return _power(self, n)
 
     def to_graded(self) -> BElement:
-        """Convert to the v-basis: X^(-m) = (H (H+1) ... (H+m-1))^(-1) v_(-m)."""
+        """Convert to the v-basis: X^(-m) = (-m, m)^(-1) v_(-m)."""
         if self.degree >= 0:
             return BElement({self.degree: self.coeff})
-        unit = rising_product(-self.degree)
-        return BElement({self.degree: self.coeff / unit})
+        return BElement({self.degree: self.coeff / structure_constant(self.degree, -self.degree)})
 
     @staticmethod
     def from_graded_component(degree: int, coeff) -> "HomogeneousElement":
         if degree < 0:
-            coeff = BElement._coefficient(coeff) * rising_product(-degree)
+            coeff = BElement._coefficient(coeff) * structure_constant(degree, -degree)
         return HomogeneousElement(degree, coeff)
 
     @staticmethod

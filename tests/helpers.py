@@ -1,10 +1,12 @@
 """Shared random generators for the test suite (all seeded, deterministic),
-and the check of a coefficient's stored canonical form."""
+the brute-force candidates and the mass hypotheses the tests read, and the
+check of a coefficient's stored canonical form."""
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
-from weylalg import Poly, RatFunc, WeylElement
+from weylalg import Poly, RatFunc, WeylElement, mass
 
 
 def random_rat(rng, height, nonzero=False):
@@ -29,6 +31,25 @@ def random_int_monic(rng, deg, height):
     terms = {e: Fraction(rng.randint(-height, height)) for e in range(deg)}
     terms[deg] = Fraction(1)
     return Poly(terms.items())
+
+
+def all_monic_int(deg, height):
+    """Every monic integer polynomial of degree deg with lower coefficients
+    in [-height, height]."""
+    if deg == 0:
+        yield Poly.one()
+        return
+    for combo in itertools.product(range(-height, height + 1), repeat=deg):
+        terms = {e: Fraction(c) for e, c in enumerate(combo)}
+        terms[deg] = Fraction(1)
+        yield Poly(terms.items())
+
+
+def in_mass_scope(P, Q):
+    """The paper's mass hypotheses, stated apart from certify_pair's own
+    test: both masses at most 2, or one of them equal to 1."""
+    mp, mq = mass(P), mass(Q)
+    return (mp <= 2 and mq <= 2) or mp == 1 or mq == 1
 
 
 def random_ratfunc(rng, max_deg, height, nonzero=False):

@@ -27,7 +27,7 @@ from weylalg import (
 import weylalg.centralizer as centralizer_module
 from weylalg.centralizer import Orbit, _deconvolve
 from weylalg.factor import _poly_key
-from helpers import random_int_monic
+from helpers import all_monic_int, random_int_monic
 
 Hp = Poly.gen()
 
@@ -317,7 +317,7 @@ class TestCentralizerGenerator:
             if forced.denominator != 1:
                 continue  # no candidates of fractional degree
             d = int(forced)
-            for cand in _all_monic_int(d, 4):
+            for cand in all_monic_int(d, 4):
                 assert twisted_product(RatFunc(cand), k, s, "plus") != alpha
 
 
@@ -340,17 +340,6 @@ class TestCentralizerGenerator:
         ]
         assert result.s == 4
         assert len(calls) == 1
-
-
-def _all_monic_int(deg, height):
-    if deg == 0:
-        yield Poly.one()
-        return
-    span = range(-height, height + 1)
-    for combo in itertools.product(span, repeat=deg):
-        terms = {e: F(c) for e, c in enumerate(combo)}
-        terms[deg] = F(1)
-        yield Poly(terms.items())
 
 
 class TestPowerDecompose:

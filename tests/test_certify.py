@@ -6,6 +6,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import in_mass_scope
 from sweep_oracle import bareiss_solve, solve_exact as oracle_solve_exact, system_rows
 from weylalg import (
     AutoWord,
@@ -127,8 +128,7 @@ class TestExamples:
         tau = AutoWord((PhiX(2, F(1)), PhiYGen(2, F(1))))
         P, Q = apply_auto(tau, Y), apply_auto(tau, X)
         assert commutator(P, Q) == ONE
-        mp, mq = mass(P), mass(Q)
-        assert not ((mp <= 2 and mq <= 2) or mp == 1 or mq == 1)
+        assert not in_mass_scope(P, Q)
         with pytest.raises(OutOfScopeError):
             certify_pair(P, Q)
         # a pair out of scope that does not commute is refused for that
@@ -146,8 +146,7 @@ class TestRoundTrip:
             seed += 1
             tau = random_tame(seed, word_len=5, max_n=3, coeff_height=5)
             P, Q = apply_auto(tau, Y), apply_auto(tau, X)
-            mp, mq = mass(P), mass(Q)
-            if not ((mp <= 2 and mq <= 2) or mp == 1 or mq == 1):
+            if not in_mass_scope(P, Q):
                 continue
             assert_certifies(P, Q)
             certified += 1

@@ -41,8 +41,8 @@ from weylalg.polynomials import (
     _strip,
     _sub,
     clear_denominators,
+    falling_window,
     poly_gcd,
-    rising_product,
 )
 
 H = Poly.gen()
@@ -281,7 +281,7 @@ def test_finite_field_splitting_rising_products():
     pytest.importorskip("sympy")
     for n in range(2, 91):
         p = first_odd_prime_from(n)
-        f = _gf_monic(_gf_normal(clear_denominators(rising_product(n))[1], p), p)
+        f = _gf_monic(_gf_normal(clear_denominators(falling_window(0, n))[1], p), p)
         ((g, d),) = _gf_ddf(f, p)
         assert d == 1 and g == f
         linear = sorted(_gf_edf(g, 1, p, None))
@@ -416,7 +416,7 @@ class TestPrimeSearch:
         # H (H+1) ... (H+n-1) has the double root 0 mod every prime below n,
         # and n distinct roots mod every larger prime
         for n in range(2, 90):
-            f = clear_denominators(rising_product(n))[1]
+            f = clear_denominators(falling_window(0, n))[1]
             assert _good_prime(f) == reference_prime(f) == first_odd_prime_from(n)
 
     def test_random_squarefree_polynomials(self):
@@ -530,7 +530,7 @@ class TestEarlyDetection:
     def test_lifting_stops_once_fewer_than_two_factors_are_open(self, monkeypatch, n):
         # H (H+1) ... (H+n-1) splits into linear factors mod p, so a hit of
         # degree k closes k of them; most close at p, the rest one rung up
-        f = clear_denominators(rising_product(n))[1]
+        f = clear_denominators(falling_window(0, n))[1]
         state = {"open": n}
         lifts = []
         lift, divide = factor._lift_tree, factor._exact_quotient
@@ -608,7 +608,7 @@ def test_factor_tree_matches_products_of_its_leaves():
     # from its range of leaves
     for n in (2, 3, 5, 8, 13, 40):
         p = first_odd_prime_from(n)
-        f = _gf_monic(_gf_normal(clear_denominators(rising_product(n))[1], p), p)
+        f = _gf_monic(_gf_normal(clear_denominators(falling_window(0, n))[1], p), p)
         modular = split_mod_p(f, p, None)
         assert _factor_tree(p, modular) == top_down_factor_tree(p, modular, 0, n)
     rng = random.Random(30)

@@ -273,6 +273,12 @@ class TestHomogeneous:
         # Y^2 = H(H+1) X^-2
         u2 = HomogeneousElement.from_graded_component(-2, Poly.one())
         assert u2.coeff == RatFunc(Hp * (Hp + 1))
+        # Y^m = H (H+1) ... (H+m-1) X^-m, and the unit is the structure constant (-m, m)
+        unit = Poly.one()
+        for m in range(1, 13):
+            unit = unit * (Hp + (m - 1))
+            assert HomogeneousElement.from_graded_component(-m, 1).coeff == RatFunc(unit)
+            assert structure_constant(-m, m) == unit
 
     def test_homogeneous_mul_matches_graded(self):
         rng = random.Random(41)
